@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: all build test race-obs race-sched race-survey race-serve bench \
-	bench-json bench-smoke bench-regress bench-survey bench-autotune \
+.PHONY: all build test race bench \
+	bench-json bench-smoke bench-survey bench-autotune \
 	bce-check fmt vet check verify fuzz-smoke golden generate \
 	generate-check hostcal hostcal-smoke
 
@@ -19,36 +19,11 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# Race-detector pass over the concurrency-heavy packages: the parallel
-# runtime, the schedules, and the observability layer they feed.
-race-obs:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/tiling/...
-
-# Race-detector pass over the task-graph scheduler and the overlapped
-# distributed exchange built on it: the pipelined WTB runtime (work-stealing
-# deques, park/wake protocol) and the dist pack-early/unpack handshake.
-race-sched:
-	$(GO) test -race ./internal/sched/... ./internal/dist/...
-
-# Race-detector pass over the multi-shot batch engine: concurrent lanes
-# (K > 1) over shared immutable model state, the grid pool, and the
-# survey counters — exercised through both the batch package's dispatch
-# tests and the wavesim survey oracle/autotune tests.
-race-survey:
-	$(GO) test -race ./internal/batch/...
-	$(GO) test -race ./wavesim -run Survey
-
-# Race-detector pass over the simulation service: the HTTP job queue,
-# runner pool, result streaming and checkpoint persistence, including the
-# end-to-end oracle (HTTP results bitwise equal to a direct survey run),
-# the crash/resume fault test, and the concurrent submit/cancel/scrape
-# workout with its /metrics accounting assertions. The wavesim resume
-# oracle rides along — it proves the checkpoint restore the service's
-# resume path is built on.
-race-serve:
-	$(GO) test -race ./internal/serve/...
-	$(GO) test -race ./wavesim -run 'Resum|Checkpoint'
+# The one race gate: every package's tests under the race detector, at
+# their testing.Short() sizes. New packages are covered by default; the
+# full-size differential sweep runs under the detector in `verify`.
+race:
+	$(GO) test -race -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -65,30 +40,17 @@ bench-json:
 
 # Short-iteration benchmark smoke: tiny wall-mode sweep (spatial, WTB and
 # pipelined columns) plus the scheduler/dist micro-benchmarks at one
-# iteration each. Catches bit-rot in the measurement paths without the
-# runtime cost of a real benchmark session.
+# iteration each, and the tests of the benchmarks/ module — a module of its
+# own that root `go test ./...` does not compile, although it imports this
+# module's internal packages. Catches bit-rot in the measurement paths
+# without the runtime cost of a real benchmark session.
 bench-smoke:
 	$(GO) build -o /tmp/wavebench ./cmd/wavebench
 	/tmp/wavebench -mode wall -models acoustic -orders 4 \
 		-n 48 -steps 4 -tunesteps 2 -schedule both > /dev/null
 	$(GO) test ./internal/dist -run '^$$' -bench . -benchtime 1x
 	$(GO) test ./internal/par -run '^$$' -bench BenchmarkForGrain -benchtime 1x
-
-# Bench regression smoke gate: two back-to-back runs of the same binary on
-# a tiny problem, diffed with the paired sign-flip test. Identical binaries
-# should never produce a significant regression at a 10% effect floor — the
-# gate catches bit-rot in the bench/diff pipeline itself and, when pointed
-# at two real artifacts (benchdiff OLD NEW), real throughput regressions.
-# Soft by design in `check` (noise on loaded CI hosts must not fail the
-# build); CI runs it as its own job with artifacts uploaded.
-bench-regress:
-	$(GO) build -o /tmp/wavebench ./cmd/wavebench
-	$(GO) build -o /tmp/benchdiff ./cmd/benchdiff
-	/tmp/wavebench -mode wall -models acoustic -orders 4 \
-		-n 48 -steps 4 -tunesteps 2 -json > /tmp/bench_old.json
-	/tmp/wavebench -mode wall -models acoustic -orders 4 \
-		-n 48 -steps 4 -tunesteps 2 -json > /tmp/bench_new.json
-	/tmp/benchdiff -min-effect 0.10 /tmp/bench_old.json /tmp/bench_new.json
+	cd benchmarks && $(GO) test ./wavemark
 
 # Survey benchmark: the same N-shot acquisition as a per-shot wavesim.New
 # loop vs the batch engine, emitted as benchdiff-compatible trajectory
@@ -206,4 +168,4 @@ golden:
 	$(GO) test ./internal/verify -run TestGoldenCorpus -golden.update
 	@git -C . status --short internal/verify/testdata/golden || true
 
-check: build vet test race-obs race-sched race-survey race-serve generate-check bce-check hostcal-smoke verify bench-regress
+check: build vet test race generate-check bce-check hostcal-smoke verify

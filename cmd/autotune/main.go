@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"wavetile/internal/autotune"
 	"wavetile/internal/bench"
 	"wavetile/internal/roofline"
 	"wavetile/internal/tiling"
@@ -50,11 +49,11 @@ func main() {
 		return
 	}
 
-	exec := tiling.RunWTB
+	kind := tiling.WTB
 	switch *schedule {
 	case "wtb":
 	case "wtb-pipelined", "pipelined":
-		exec = tiling.RunWTBPipelined
+		kind = tiling.WTBPipelined
 	default:
 		fatal(fmt.Errorf("unknown -schedule %q (want wtb or wtb-pipelined)", *schedule))
 	}
@@ -79,7 +78,7 @@ func main() {
 		if *compare {
 			comparePredict(*n, *models, *orders, ttList, cal, o, *csv, *jsonOut)
 		} else {
-			sweepPredict(*n, *models, *orders, ttList, exec, cal, o, *top, *csv)
+			sweepPredict(*n, *models, *orders, ttList, kind, cal, o, *top, *csv)
 		}
 		return
 	}
@@ -96,7 +95,7 @@ func main() {
 				fatal(err)
 			}
 			spec := bench.Spec{Model: strings.TrimSpace(m), SO: so, N: *n}
-			results, err := bench.TuneWTBWith(spec, exec, *tuneSteps, *repeats, ttList)
+			results, err := bench.TuneWTB(spec, kind, *tuneSteps, *repeats, ttList)
 			if err != nil {
 				fatal(err)
 			}
@@ -169,14 +168,14 @@ func specsFor(n int, models, orders string) []bench.Spec {
 // sweepPredict is the predictive counterpart of the Table-I sweep: rank by
 // model, confirm top-K, report predicted and (where confirmed) measured
 // throughput per kernel.
-func sweepPredict(n int, models, orders string, ttList []int, exec autotune.Exec, cal roofline.Calibrated, o bench.PredictTuneOptions, top int, csv bool) {
+func sweepPredict(n int, models, orders string, ttList []int, kind tiling.Kind, cal roofline.Calibrated, o bench.PredictTuneOptions, top int, csv bool) {
 	table := &bench.Table{
 		Title: fmt.Sprintf("Table I (predicted) — WTB shapes ranked by calibrated roofline (%s, %d³ grid, top-%d confirmed)",
 			cal.Machine.Name, n, o.TopK),
 		Header: []string{"Problem", "rank", "TT", "tile_x", "tile_y", "block_x", "block_y", "pred GPts/s", "meas GPts/s"},
 	}
 	for _, spec := range specsFor(n, models, orders) {
-		results, err := bench.TunePredictWTB(spec, exec, cal, ttList, o)
+		results, err := bench.TunePredictWTB(spec, kind, cal, ttList, o)
 		if err != nil {
 			fatal(err)
 		}

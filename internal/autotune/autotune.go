@@ -57,44 +57,48 @@ func Candidates(nx, ny, minTile int, tts []int) []tiling.Config {
 // one tuning measurement.
 type Runner func(nt int) (tiling.Propagator, error)
 
-// Exec runs one schedule configuration on a propagator — the quantity being
-// tuned. tiling.RunWTB and tiling.RunWTBPipelined both satisfy it, so the
-// same sweep grid tunes either the sequential-tile or the task-graph
-// runtime.
-type Exec func(tiling.Propagator, tiling.Config) error
-
-// Tune measures every candidate over tuneSteps timesteps (repeats times,
-// best-of) and returns all results sorted fastest-first. points is the
-// number of grid points updated per timestep (for GPts/s). The schedule
-// executed is tiling.RunWTB; use TuneWith to sweep a different runtime.
-func Tune(run Runner, tuneSteps, repeats int, points int, cands []tiling.Config) ([]Result, error) {
-	return TuneWith(run, tiling.RunWTB, tuneSteps, repeats, points, cands)
+// bestOf times cfg under kind over the whole time axis of a propagator from
+// run(tuneSteps), repeats times (at least once), and returns the fastest.
+// setup, when non-nil, adjusts each fresh propagator before its clock
+// starts.
+func bestOf(run Runner, kind tiling.Kind, cfg tiling.Config, tuneSteps, repeats int,
+	setup func(tiling.Propagator) error) (time.Duration, error) {
+	best := time.Duration(0)
+	for r := 0; r < max(1, repeats); r++ {
+		p, err := run(tuneSteps)
+		if err != nil {
+			return 0, err
+		}
+		if setup != nil {
+			if err := setup(p); err != nil {
+				return 0, err
+			}
+		}
+		start := time.Now()
+		if err := tiling.Run(p, kind, cfg, 0, p.Steps(), nil); err != nil {
+			return 0, err
+		}
+		if el := time.Since(start); best == 0 || el < best {
+			best = el
+		}
+	}
+	return best, nil
 }
 
-// TuneWith is Tune with an explicit schedule executor.
-func TuneWith(run Runner, exec Exec, tuneSteps, repeats int, points int, cands []tiling.Config) ([]Result, error) {
+// Tune measures every candidate under the schedule kind (tiling.WTB or
+// tiling.WTBPipelined — the same sweep grid tunes either drain) over
+// tuneSteps timesteps (repeats times, best-of) and returns all results
+// sorted fastest-first. points is the number of grid points updated per
+// timestep (for GPts/s).
+func Tune(run Runner, kind tiling.Kind, tuneSteps, repeats int, points int, cands []tiling.Config) ([]Result, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("autotune: no candidates")
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
 	results := make([]Result, 0, len(cands))
 	for _, cfg := range cands {
-		best := time.Duration(0)
-		for r := 0; r < repeats; r++ {
-			p, err := run(tuneSteps)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := exec(p, cfg); err != nil {
-				return nil, err
-			}
-			el := time.Since(start)
-			if best == 0 || el < best {
-				best = el
-			}
+		best, err := bestOf(run, kind, cfg, tuneSteps, repeats, nil)
+		if err != nil {
+			return nil, err
 		}
 		results = append(results, Result{
 			Cfg:     cfg,
@@ -107,8 +111,8 @@ func TuneWith(run Runner, exec Exec, tuneSteps, repeats int, points int, cands [
 }
 
 // Best is a convenience wrapper returning only the winning configuration.
-func Best(run Runner, tuneSteps, repeats, points int, cands []tiling.Config) (tiling.Config, error) {
-	res, err := Tune(run, tuneSteps, repeats, points, cands)
+func Best(run Runner, kind tiling.Kind, tuneSteps, repeats, points int, cands []tiling.Config) (tiling.Config, error) {
+	res, err := Tune(run, kind, tuneSteps, repeats, points, cands)
 	if err != nil {
 		return tiling.Config{}, err
 	}

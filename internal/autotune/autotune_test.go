@@ -22,6 +22,7 @@ func (s *sleepProp) TimeSkew() int         { return 2 }
 func (s *sleepProp) MaxPhaseOffset() int   { return 0 }
 func (s *sleepProp) MinTile() int          { return 4 }
 func (s *sleepProp) SetBlocks(bx, by int)  {}
+func (s *sleepProp) SetFused(bool)         {}
 func (s *sleepProp) ApplySparse(int)       {}
 func (s *sleepProp) Step(t int, r grid.Region, fused bool) {
 	// Simulate per-tile overhead plus per-point work.
@@ -69,7 +70,7 @@ func TestTuneReturnsSortedResults(t *testing.T) {
 		{TT: 4, TileX: 32, TileY: 32, BlockX: 8, BlockY: 8},
 		{TT: 4, TileX: 64, TileY: 64, BlockX: 8, BlockY: 8},
 	}
-	res, err := Tune(run, 4, 2, 64*64, cands)
+	res, err := Tune(run, tiling.WTB, 4, 2, 64*64, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTuneReturnsSortedResults(t *testing.T) {
 			t.Fatalf("non-positive throughput: %+v", r)
 		}
 	}
-	best, err := Best(run, 4, 1, 64*64, cands)
+	best, err := Best(run, tiling.WTB, 4, 1, 64*64, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestTuneReturnsSortedResults(t *testing.T) {
 }
 
 func TestTuneNoCandidates(t *testing.T) {
-	if _, err := Tune(func(int) (tiling.Propagator, error) { return nil, nil }, 1, 1, 1, nil); err == nil {
+	if _, err := Tune(func(int) (tiling.Propagator, error) { return nil, nil }, tiling.WTB, 1, 1, 1, nil); err == nil {
 		t.Fatal("empty candidate list accepted")
 	}
 }

@@ -26,12 +26,12 @@ type KernelResult struct {
 }
 
 // TuneKernelVariants measures every generated kernel variant of the
-// propagators built by run under the given schedule executor and config
-// (use a zero Config with an Exec that ignores it to tune the spatial
-// schedule), returning results sorted fastest-first. The propagator must
-// implement KernelTunable; an empty variant list (generic-only radius)
-// returns an error rather than a hollow win.
-func TuneKernelVariants(run Runner, exec Exec, cfg tiling.Config, tuneSteps, repeats, points int) ([]KernelResult, error) {
+// propagators built by run under the given schedule kind and config (for
+// the spatial kinds only the config's block shape applies), returning
+// results sorted fastest-first. The propagator must implement
+// KernelTunable; an empty variant list (generic-only radius) returns an
+// error rather than a hollow win.
+func TuneKernelVariants(run Runner, kind tiling.Kind, cfg tiling.Config, tuneSteps, repeats, points int) ([]KernelResult, error) {
 	probe, err := run(tuneSteps)
 	if err != nil {
 		return nil, err
@@ -44,28 +44,13 @@ func TuneKernelVariants(run Runner, exec Exec, cfg tiling.Config, tuneSteps, rep
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("autotune: no generated kernel variants for this radius (generic fallback only)")
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
 	results := make([]KernelResult, 0, len(variants))
 	for _, v := range variants {
-		best := time.Duration(0)
-		for r := 0; r < repeats; r++ {
-			p, err := run(tuneSteps)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.(KernelTunable).SetKernelVariant(v); err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := exec(p, cfg); err != nil {
-				return nil, err
-			}
-			el := time.Since(start)
-			if best == 0 || el < best {
-				best = el
-			}
+		best, err := bestOf(run, kind, cfg, tuneSteps, repeats, func(p tiling.Propagator) error {
+			return p.(KernelTunable).SetKernelVariant(v)
+		})
+		if err != nil {
+			return nil, err
 		}
 		results = append(results, KernelResult{
 			Variant: v,
@@ -78,8 +63,8 @@ func TuneKernelVariants(run Runner, exec Exec, cfg tiling.Config, tuneSteps, rep
 }
 
 // BestKernelVariant returns only the winning variant name.
-func BestKernelVariant(run Runner, exec Exec, cfg tiling.Config, tuneSteps, repeats, points int) (string, error) {
-	res, err := TuneKernelVariants(run, exec, cfg, tuneSteps, repeats, points)
+func BestKernelVariant(run Runner, kind tiling.Kind, cfg tiling.Config, tuneSteps, repeats, points int) (string, error) {
+	res, err := TuneKernelVariants(run, kind, cfg, tuneSteps, repeats, points)
 	if err != nil {
 		return "", err
 	}

@@ -39,13 +39,10 @@ func kernRunner(variants []string) Runner {
 	}
 }
 
-func execSpatial(p tiling.Propagator, _ tiling.Config) error {
-	tiling.RunSpatial(p, 16, 16, true)
-	return nil
-}
+var blocks16 = tiling.Config{BlockX: 16, BlockY: 16}
 
 func TestTuneKernelVariantsRanksFastest(t *testing.T) {
-	res, err := TuneKernelVariants(kernRunner([]string{"slow", "fast"}), execSpatial, tiling.Config{}, 4, 2, 32*32)
+	res, err := TuneKernelVariants(kernRunner([]string{"slow", "fast"}), tiling.Spatial, blocks16, 4, 2, 32*32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +55,7 @@ func TestTuneKernelVariantsRanksFastest(t *testing.T) {
 	if res[0].Elapsed <= 0 || res[0].GPts <= 0 {
 		t.Fatalf("degenerate measurement: %+v", res[0])
 	}
-	best, err := BestKernelVariant(kernRunner([]string{"slow", "fast"}), execSpatial, tiling.Config{}, 4, 2, 32*32)
+	best, err := BestKernelVariant(kernRunner([]string{"slow", "fast"}), tiling.Spatial, blocks16, 4, 2, 32*32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +66,14 @@ func TestTuneKernelVariantsRanksFastest(t *testing.T) {
 
 func TestTuneKernelVariantsErrors(t *testing.T) {
 	// Generic-only radius: no variants to sweep is an error, not a win.
-	if _, err := TuneKernelVariants(kernRunner(nil), execSpatial, tiling.Config{}, 2, 1, 32*32); err == nil {
+	if _, err := TuneKernelVariants(kernRunner(nil), tiling.Spatial, blocks16, 2, 1, 32*32); err == nil {
 		t.Fatal("expected error for empty variant list")
 	}
 	// Propagator without the kernel-variant surface.
 	plain := func(nt int) (tiling.Propagator, error) {
 		return &sleepProp{nx: 32, ny: 32, nt: nt}, nil
 	}
-	if _, err := TuneKernelVariants(plain, execSpatial, tiling.Config{}, 2, 1, 32*32); err == nil {
+	if _, err := TuneKernelVariants(plain, tiling.Spatial, blocks16, 2, 1, 32*32); err == nil {
 		t.Fatal("expected error for non-tunable propagator")
 	}
 }

@@ -30,7 +30,7 @@ type PredictOptions struct {
 	// nothing.
 	TopK int
 	// TuneSteps and Repeats control the confirmation measurements, exactly
-	// as in TuneWith.
+	// as in Tune.
 	TuneSteps int
 	Repeats   int
 	// Points is the grid points updated per timestep (for GPts/s of the
@@ -63,7 +63,7 @@ type PredictResult struct {
 // purely model-ranked. The ranking is deterministic: stable in the candidate
 // order on predicted-time ties, and the cache simulation itself is exact.
 func TunePredict(cal roofline.Calibrated, flops, points float64, traffic TrafficFn,
-	cands []tiling.Config, run Runner, exec Exec, o PredictOptions) ([]PredictResult, error) {
+	cands []tiling.Config, run Runner, kind tiling.Kind, o PredictOptions) ([]PredictResult, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("autotune: no candidates")
 	}
@@ -87,25 +87,10 @@ func TunePredict(cal roofline.Calibrated, flops, points float64, traffic Traffic
 		k = len(results)
 	}
 	if k > 0 {
-		repeats := o.Repeats
-		if repeats < 1 {
-			repeats = 1
-		}
 		for i := 0; i < k; i++ {
-			best := time.Duration(0)
-			for r := 0; r < repeats; r++ {
-				p, err := run(o.TuneSteps)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				if err := exec(p, results[i].Cfg); err != nil {
-					return nil, err
-				}
-				el := time.Since(start)
-				if best == 0 || el < best {
-					best = el
-				}
+			best, err := bestOf(run, kind, results[i].Cfg, o.TuneSteps, o.Repeats, nil)
+			if err != nil {
+				return nil, err
 			}
 			results[i].Measured = true
 			results[i].Elapsed = best

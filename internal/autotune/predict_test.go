@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"wavetile/internal/cachesim"
-	"wavetile/internal/grid"
 	"wavetile/internal/roofline"
 	"wavetile/internal/tiling"
 )
@@ -34,9 +33,8 @@ func TestTunePredictZeroShot(t *testing.T) {
 		runs++
 		return &sleepProp{nx: 64, ny: 64, nt: nt}, nil
 	}
-	exec := func(p tiling.Propagator, cfg tiling.Config) error { return nil }
 	cal := roofline.Calibrated{Machine: roofline.Broadwell(), BWEff: 0.8, OverheadNSPerPoint: 1}
-	res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), run, exec,
+	res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), run, tiling.WTB,
 		PredictOptions{TopK: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +69,8 @@ func TestTunePredictMeasuresOnlyTopK(t *testing.T) {
 		runs++
 		return &sleepProp{nx: 64, ny: 64, nt: nt}, nil
 	}
-	exec := func(p tiling.Propagator, cfg tiling.Config) error {
-		// Touch the propagator the way a real schedule would.
-		p.Step(0, grid.Region{X0: 0, X1: 16, Y0: 0, Y1: 16}, false)
-		return nil
-	}
 	cal := roofline.Calibrated{Machine: roofline.Broadwell(), BWEff: 1}
-	res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), run, exec,
+	res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), run, tiling.WTB,
 		PredictOptions{TopK: k, TuneSteps: 4, Repeats: repeats, Points: 64 * 64})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +103,8 @@ func TestTunePredictTopKExceedingCandidates(t *testing.T) {
 	run := func(nt int) (tiling.Propagator, error) {
 		return &sleepProp{nx: 64, ny: 64, nt: nt}, nil
 	}
-	exec := func(p tiling.Propagator, cfg tiling.Config) error { return nil }
 	cal := roofline.Calibrated{Machine: roofline.Broadwell()}
-	res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), run, exec,
+	res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), run, tiling.WTB,
 		PredictOptions{TopK: 100, TuneSteps: 1, Points: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +119,7 @@ func TestTunePredictTopKExceedingCandidates(t *testing.T) {
 func TestTunePredictDeterministicRanking(t *testing.T) {
 	cal := roofline.Calibrated{Machine: roofline.Broadwell(), BWEff: 0.7, OverheadNSPerPoint: 2}
 	rank := func() []tiling.Config {
-		res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), nil, nil,
+		res, err := TunePredict(cal, 1e8, 1e7, fakeTraffic, predictCands(), nil, tiling.WTB,
 			PredictOptions{TopK: 0})
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +140,7 @@ func TestTunePredictDeterministicRanking(t *testing.T) {
 
 func TestTunePredictEmptyCandidates(t *testing.T) {
 	_, err := TunePredict(roofline.Calibrated{Machine: roofline.Broadwell()},
-		1, 1, fakeTraffic, nil, nil, nil, PredictOptions{})
+		1, 1, fakeTraffic, nil, nil, tiling.WTB, PredictOptions{})
 	if err == nil {
 		t.Fatal("empty candidate list accepted")
 	}

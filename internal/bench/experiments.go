@@ -55,8 +55,8 @@ func MeasureWTB(p *Problem, cfg tiling.Config, repeats int) (time.Duration, erro
 	}, repeats)
 }
 
-// MeasurePipelined times one WTB configuration under the task-graph
-// runtime (tiling.RunWTBPipelined) — same tile shapes, no per-level
+// MeasurePipelined times one WTB configuration under the several-worker
+// graph drain (tiling.RunWTBPipelined) — same tile shapes, no per-level
 // barrier.
 func MeasurePipelined(p *Problem, cfg tiling.Config, repeats int) (time.Duration, error) {
 	return timeSchedule(p, func() error {
@@ -66,15 +66,9 @@ func MeasurePipelined(p *Problem, cfg tiling.Config, repeats int) (time.Duration
 
 // TuneWTB autotunes the WTB parameters on the real propagator over a
 // truncated time axis and returns the winning configuration with its
-// measured results (Table I procedure). It sweeps tiling.RunWTB; use
-// TuneWTBWith to sweep another runtime over the same grid.
-func TuneWTB(spec Spec, tuneSteps, repeats int, tts []int) ([]autotune.Result, error) {
-	return TuneWTBWith(spec, tiling.RunWTB, tuneSteps, repeats, tts)
-}
-
-// TuneWTBWith is TuneWTB with an explicit schedule executor (e.g.
-// tiling.RunWTBPipelined).
-func TuneWTBWith(spec Spec, exec autotune.Exec, tuneSteps, repeats int, tts []int) ([]autotune.Result, error) {
+// measured results (Table I procedure), sweeping the given schedule kind
+// (tiling.WTB or tiling.WTBPipelined) over the same grid.
+func TuneWTB(spec Spec, kind tiling.Kind, tuneSteps, repeats int, tts []int) ([]autotune.Result, error) {
 	built, err := Spec{
 		Model: spec.Model, SO: spec.SO, N: spec.N, NBL: spec.NBL,
 		Steps: tuneSteps, NSrc: spec.NSrc, SrcLayout: spec.SrcLayout, NRec: spec.NRec,
@@ -87,7 +81,7 @@ func TuneWTBWith(spec Spec, exec autotune.Exec, tuneSteps, repeats int, tts []in
 		built.Reset()
 		return built.Prop, nil
 	}
-	return autotune.TuneWith(runner, exec, tuneSteps, repeats, built.PointsPerStep, cands)
+	return autotune.Tune(runner, kind, tuneSteps, repeats, built.PointsPerStep, cands)
 }
 
 // TuneKernels sweeps the generated kernel variants (base, y2, …) of one
@@ -107,15 +101,12 @@ func TuneKernels(spec Spec, tuneSteps, repeats int) ([]autotune.KernelResult, er
 		built.Reset()
 		return built.Prop, nil
 	}
-	exec := func(p tiling.Propagator, _ tiling.Config) error {
-		tiling.RunSpatial(p, 8, 8, true)
-		return nil
-	}
-	return autotune.TuneKernelVariants(runner, exec, tiling.Config{}, tuneSteps, repeats, built.PointsPerStep)
+	return autotune.TuneKernelVariants(runner, tiling.Spatial, tiling.Config{BlockX: 8, BlockY: 8},
+		tuneSteps, repeats, built.PointsPerStep)
 }
 
 // WallRow holds one Figure-9-style wall-clock measurement. PipeGP and
-// PipeSpeedup report the task-graph runtime (RunWTBPipelined) at the same
+// PipeSpeedup report the pipelined drain (RunWTBPipelined) at the same
 // tuned tile shape as WTBGP, so the two columns isolate the scheduling
 // change from the tile-shape choice.
 type WallRow struct {
@@ -130,11 +121,11 @@ type WallRow struct {
 
 // Fig9Wall measures the WTB-vs-spatial speedup on the host for every spec:
 // a brief tile autotune, then timed runs of all three schedules (spatial,
-// barriered WTB, pipelined WTB).
+// WTB, pipelined WTB).
 func Fig9Wall(specs []Spec, tuneSteps, repeats int, tts []int) ([]WallRow, error) {
 	var rows []WallRow
 	for _, s := range specs {
-		tuned, err := TuneWTB(s, tuneSteps, 1, tts)
+		tuned, err := TuneWTB(s, tiling.WTB, tuneSteps, 1, tts)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ func TestTuneWTBSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	res, err := TuneWTB(Spec{Model: "acoustic", SO: 4, N: 48}, 2, 1, []int{2})
+	res, err := TuneWTB(Spec{Model: "acoustic", SO: 4, N: 48}, tiling.WTB, 2, 1, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}

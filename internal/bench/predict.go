@@ -47,13 +47,13 @@ func (o *PredictTuneOptions) defaults() {
 	}
 }
 
-// TunePredictWTB is the predictive counterpart of TuneWTBWith: same
+// TunePredictWTB is the predictive counterpart of TuneWTB: same
 // candidate grid, same schedule executor, but candidates are ranked by
 // trace-replay + calibrated roofline instead of wall-clock sweeps, and only
 // the top-K are measured. Distinct candidates that clamp to the same trace
 // configuration share one replay (memoized), so the model evaluation per
 // candidate is O(1) after its clamp class has been traced once.
-func TunePredictWTB(spec Spec, exec autotune.Exec, cal roofline.Calibrated, tts []int, o PredictTuneOptions) ([]autotune.PredictResult, error) {
+func TunePredictWTB(spec Spec, kind tiling.Kind, cal roofline.Calibrated, tts []int, o PredictTuneOptions) ([]autotune.PredictResult, error) {
 	o.defaults()
 	built, err := Spec{
 		Model: spec.Model, SO: spec.SO, N: spec.N, NBL: spec.NBL,
@@ -99,7 +99,7 @@ func TunePredictWTB(spec Spec, exec autotune.Exec, cal roofline.Calibrated, tts 
 		built.Reset()
 		return built.Prop, nil
 	}
-	return autotune.TunePredict(scaled, flops, tracePoints, traffic, cands, runner, exec,
+	return autotune.TunePredict(scaled, flops, tracePoints, traffic, cands, runner, kind,
 		autotune.PredictOptions{TopK: o.TopK, TuneSteps: o.TuneSteps, Repeats: o.Repeats, Points: built.PointsPerStep})
 }
 
@@ -232,14 +232,14 @@ func PredictBench(specs []Spec, cal roofline.Calibrated, tts []int, o PredictTun
 	}
 	for _, s := range specs {
 		start := time.Now()
-		sweep, err := TuneWTB(s, o.TuneSteps, o.Repeats, tts)
+		sweep, err := TuneWTB(s, tiling.WTB, o.TuneSteps, o.Repeats, tts)
 		if err != nil {
 			return nil, err
 		}
 		sweepMS := time.Since(start).Seconds() * 1e3
 
 		start = time.Now()
-		pred, err := TunePredictWTB(s, tiling.RunWTB, cal, tts, o)
+		pred, err := TunePredictWTB(s, tiling.WTB, cal, tts, o)
 		if err != nil {
 			return nil, err
 		}

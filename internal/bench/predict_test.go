@@ -12,7 +12,7 @@ func TestTunePredictWTBSmoke(t *testing.T) {
 	cal := roofline.Calibrated{Machine: roofline.Broadwell(), BWEff: 0.8, OverheadNSPerPoint: 1}
 	o := PredictTuneOptions{TraceN: 24, TraceNt: 2, TopK: 1, TuneSteps: 2}
 
-	res, err := TunePredictWTB(spec, tiling.RunWTB, cal, []int{2}, o)
+	res, err := TunePredictWTB(spec, tiling.WTB, cal, []int{2}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestTunePredictWTBSmoke(t *testing.T) {
 
 	// Ranking is deterministic: a second zero-shot pass orders identically.
 	o.TopK = 0
-	a, err := TunePredictWTB(spec, tiling.RunWTB, cal, []int{2}, o)
+	a, err := TunePredictWTB(spec, tiling.WTB, cal, []int{2}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TunePredictWTB(spec, tiling.RunWTB, cal, []int{2}, o)
+	b, err := TunePredictWTB(spec, tiling.WTB, cal, []int{2}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

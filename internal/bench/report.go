@@ -109,9 +109,9 @@ func (o *AttributeOptions) defaults() {
 //
 // schedule is a Result/RunInfo schedule string: "spatial",
 // "spatial-unfused", "spatial+snapshots", "wtb" or "wtb-pipelined". The
-// pipelined runtime is replayed through the sequential RunWTB — it visits
-// the identical space-time tiles (the trace sink is not concurrency-safe),
-// so the traffic is the same. cfg is consulted for the WTB schedules only
+// pipelined kind is replayed through the serial WTB drain — it visits the
+// identical space-time tiles (the trace sink is not concurrency-safe), so
+// the traffic is the same. cfg is consulted for the WTB schedules only
 // and is clamped to the trace grid (TT to TraceNt, tiles into
 // [MinTile, TraceN]).
 //

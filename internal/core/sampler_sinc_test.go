@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"wavetile/internal/grid"
@@ -32,11 +31,12 @@ func TestSamplerSincReceivers(t *testing.T) {
 	m := BuildMasks(n, n, n, sup)
 	s := NewSampler(m, nt)
 
-	rng := rand.New(rand.NewSource(11))
 	u := grid.New(n, n, n, 0)
 	for tt := 0; tt < nt; tt++ {
 		u.FillFunc(func(x, y, z int) float32 {
-			return float32(math.Sin(float64(x*13+y*7+z*3)+float64(tt))) * (1 + rng.Float32())
+			// FillFunc calls this from several goroutines: the rough
+			// amplitude is a pure function of the point, not a shared rng.
+			return float32(math.Sin(float64(x*13+y*7+z*3)+float64(tt))) * (1 + float32((x*5+y*11+z*17)%23)/23)
 		})
 		s.SampleRegion(tt, u, grid.FullRegion(n, n))
 

@@ -17,11 +17,10 @@ import (
 // synchronize pairwise through per-edge staging buffers with a
 // one-token ready/free handshake, so a rank may run one time tile ahead
 // of a neighbour that is still finishing. In DeepHalo mode the in-rank
-// schedule is the pipelined task graph (tiling.RunWTBPipelinedHooked),
-// and each outgoing edge is packed the moment the last tile writing its
-// boundary planes completes — overlapping the halo exchange with the
-// interior compute that is still draining, instead of the old
-// wg.Wait()-then-exchange barrier.
+// schedule is the pipelined task graph (tiling.WTBPipelined), and each
+// outgoing edge is packed from the executor's per-task hook the moment the
+// last tile writing its boundary planes completes — overlapping the halo
+// exchange with the interior compute that is still draining.
 //
 // Every owned point still computes the same expression from the same
 // inputs as a single-domain run (packing is read-only and the task graph
@@ -30,13 +29,7 @@ import (
 func (c *Cluster) Run() error {
 	nt := c.geom.Nt
 	if len(c.ranks) == 1 {
-		r := c.ranks[0]
-		for t0 := 0; t0 < nt; t0 += c.depth {
-			if err := r.advance(c, t0, tiling.PipelineHooks{}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return c.ranks[0].advance(c, 0, nt, nil) // nothing to exchange with
 	}
 
 	edges := c.buildEdges()
@@ -71,18 +64,18 @@ func (c *Cluster) runRank(i int, es rankEdges, abort <-chan struct{}) error {
 	nt := c.geom.Nt
 	for t0 := 0; t0 < nt; t0 += c.depth {
 		tNext := t0 + c.depth
-		hook := tiling.PipelineHooks{}
+		var onTask func(bx, by, k int)
 		if c.depth > 1 && len(es.packs) > 0 {
 			for _, p := range es.packs {
 				p.reset()
 			}
-			hook.OnTaskDone = func(bx, by, k int) {
+			onTask = func(bx, by, k int) {
 				for _, p := range es.packs {
 					p.onTask(c, bx, k, tNext)
 				}
 			}
 		}
-		if err := r.advance(c, t0, hook); err != nil {
+		if err := r.advance(c, t0, tNext, onTask); err != nil {
 			return err
 		}
 		// Flush: edges whose boundary set never drained through the hook
@@ -113,20 +106,18 @@ func (c *Cluster) runRank(i int, es rankEdges, abort <-chan struct{}) error {
 	return nil
 }
 
-// advance computes depth timesteps on one rank's slab grid.
-func (r *rank) advance(c *Cluster, t0 int, h tiling.PipelineHooks) error {
+// advance computes timesteps [t0, t1) on one rank's slab grid. PerStep is
+// plain spatial steps over the whole slab (halo columns included — they are
+// corrected by the exchange). DeepHalo runs the pipelined wave-front
+// schedule inside the slab in time tiles of `depth` steps: halo columns
+// decay into staleness at `skew` cells per step, and the halo is exactly
+// deep enough that the owned region never reads a stale value.
+func (r *rank) advance(c *Cluster, t0, t1 int, onTask func(bx, by, k int)) error {
+	kind := tiling.WTBPipelined
 	if c.depth == 1 {
-		// PerStep: one plain spatial step over the whole slab (halo
-		// columns included — they are corrected by the exchange).
-		r.prop.SetBlocks(c.cfg.BlockX, c.cfg.BlockY)
-		r.prop.Step(t0, grid.FullRegion(r.nx, c.geom.Ny), true)
-		return nil
+		kind = tiling.Spatial // reads only the block shape of the config
 	}
-	// DeepHalo: run the pipelined wave-front schedule inside the slab for
-	// one time tile of `depth` steps. Halo columns decay into staleness at
-	// `skew` cells per step; the halo is exactly deep enough that the owned
-	// region never reads a stale value.
-	return tiling.RunWTBPipelinedHooked(r.prop, c.wtbConfig(r), t0, t0+c.depth, h)
+	return tiling.Run(r.prop, kind, c.wtbConfig(r), t0, t1, onTask)
 }
 
 // wtbConfig is the in-rank WTB configuration. Config.TileX splits the

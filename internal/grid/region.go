@@ -80,8 +80,8 @@ func (r Region) SplitBlocks(bx, by int) []Region {
 
 // AppendBlocks is SplitBlocks appending into dst, so hot schedule loops can
 // recycle one buffer per step instead of allocating the block list anew
-// (tiling.ForBlocks feeds it from a sync.Pool). Block order and contents
-// are identical to SplitBlocks.
+// (tiling.ForBlocksIndexed feeds it from a sync.Pool). Block order and
+// contents are identical to SplitBlocks.
 func (r Region) AppendBlocks(dst []Region, bx, by int) []Region {
 	if r.Empty() {
 		return dst

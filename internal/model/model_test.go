@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"wavetile/internal/grid"
+	"wavetile/internal/par"
 )
 
 func TestGeometryBoxes(t *testing.T) {
@@ -174,5 +177,45 @@ func TestNewTTIParams(t *testing.T) {
 	}
 	if math.Abs(float64(p.Theta.At(1, 1, 1))-0.5) > 1e-7 {
 		t.Fatal("theta wrong")
+	}
+}
+
+// TestParamsIndependentOfWorkers builds every parameter set at one and at
+// several par workers and requires the tracked maxima and every field to be
+// bitwise equal: the maxima are reduced from the parallel fill, and the
+// damping field is built from them. Run under -race it also pins that the
+// reduction has one writer per slot.
+func TestParamsIndependentOfWorkers(t *testing.T) {
+	g := Geometry{Nx: 24, Ny: 12, Nz: 10, Hx: 10, Hy: 10, Hz: 10, NBL: 3}
+	// Velocity and anisotropy vary along x, so each x-plane has its own
+	// maximum and the global one sits in a single plane.
+	vp := func(x, y, z float64) float64 { return 1500 + 7*x + 3*z - 0.04*x*x }
+	eps := func(x, y, z float64) float64 { return 0.1 + 0.001*x - 0.000005*x*x }
+	build := func(workers int) (maxima []float64, fields []*grid.Grid) {
+		prev := par.Workers
+		par.Workers = workers
+		defer func() { par.Workers = prev }()
+		a := NewAcoustic(g, 2, vp)
+		w := NewTTI(g, 2, vp, eps, Homogeneous(0.1), Homogeneous(0.3), Homogeneous(0.2))
+		e := NewElastic(g, 2, vp, func(x, y, z float64) float64 { return vp(x, y, z) / 2 }, Homogeneous(1800))
+		return []float64{a.Vmax, w.Vmax, w.EpsMax, e.VpMax},
+			[]*grid.Grid{a.M, a.Damp, w.M, w.Epsilon, w.Damp, e.Lam, e.Taper}
+	}
+	wantMax, wantFields := build(1)
+	if wantMax[0] <= 1500 || wantMax[2] <= 0.1 {
+		t.Fatalf("maxima not tracked: %v", wantMax)
+	}
+	for _, workers := range []int{2, 4, 7} {
+		gotMax, gotFields := build(workers)
+		for i := range wantMax {
+			if math.Float64bits(gotMax[i]) != math.Float64bits(wantMax[i]) {
+				t.Errorf("workers=%d: maximum %d = %v, want %v", workers, i, gotMax[i], wantMax[i])
+			}
+		}
+		for i := range wantFields {
+			if !gotFields[i].Equal(wantFields[i]) {
+				t.Errorf("workers=%d: field %d differs from the one-worker build", workers, i)
+			}
+		}
 	}
 }

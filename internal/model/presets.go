@@ -26,15 +26,36 @@ type AcousticParams struct {
 // (m/s). halo must cover the stencil radius of the space order in use.
 func NewAcoustic(geom Geometry, halo int, vp FieldFunc) *AcousticParams {
 	p := &AcousticParams{Geom: geom}
-	p.M = geom.FillField(halo, func(x, y, z float64) float64 {
+	p.M, p.Vmax = geom.fillFieldMax(halo, func(x, y, z float64) (float64, float64) {
 		v := vp(x, y, z)
-		if v > p.Vmax {
-			p.Vmax = v
-		}
-		return 1 / (v * v)
+		return 1 / (v * v), v
 	})
 	p.Damp = geom.DampField(halo, p.Vmax)
 	return p
+}
+
+// fillFieldMax is FillField for an f that reports, beside the value to
+// store, a quantity whose maximum over the grid (or 0, if none is positive)
+// is returned too. FillFunc fills x-planes in parallel, so the maximum is
+// kept per plane — each slot has one writer — and reduced afterwards: the
+// result does not depend on how the planes interleave.
+func (g Geometry) fillFieldMax(halo int, f func(x, y, z float64) (val, tracked float64)) (*grid.Grid, float64) {
+	out := grid.New(g.Nx, g.Ny, g.Nz, halo)
+	planeMax := make([]float64, g.Nx)
+	out.FillFunc(func(x, y, z int) float32 {
+		v, m := f(float64(x)*g.Hx, float64(y)*g.Hy, float64(z)*g.Hz)
+		if m > planeMax[x] {
+			planeMax[x] = m
+		}
+		return float32(v)
+	})
+	max := 0.0
+	for _, m := range planeMax {
+		if m > max {
+			max = m
+		}
+	}
+	return out, max
 }
 
 // TTIParams bundles the anisotropic acoustic (TTI) parameter fields
@@ -51,19 +72,13 @@ type TTIParams struct {
 // the velocity (theta/phi in radians, spatially dependent as in the paper).
 func NewTTI(geom Geometry, halo int, vp, eps, delta, theta, phi FieldFunc) *TTIParams {
 	p := &TTIParams{Geom: geom}
-	p.M = geom.FillField(halo, func(x, y, z float64) float64 {
+	p.M, p.Vmax = geom.fillFieldMax(halo, func(x, y, z float64) (float64, float64) {
 		v := vp(x, y, z)
-		if v > p.Vmax {
-			p.Vmax = v
-		}
-		return 1 / (v * v)
+		return 1 / (v * v), v
 	})
-	p.Epsilon = geom.FillField(halo, func(x, y, z float64) float64 {
+	p.Epsilon, p.EpsMax = geom.fillFieldMax(halo, func(x, y, z float64) (float64, float64) {
 		e := eps(x, y, z)
-		if e > p.EpsMax {
-			p.EpsMax = e
-		}
-		return e
+		return e, e
 	})
 	p.Delta = geom.FillField(halo, delta)
 	p.Theta = geom.FillField(halo, theta)
@@ -86,12 +101,9 @@ type ElasticParams struct {
 // rho (kg/m³): λ = ρ(vp²−2vs²), μ = ρvs², buoyancy 1/ρ.
 func NewElastic(geom Geometry, halo int, vp, vs, rho FieldFunc) *ElasticParams {
 	p := &ElasticParams{Geom: geom}
-	p.Lam = geom.FillField(halo, func(x, y, z float64) float64 {
+	p.Lam, p.VpMax = geom.fillFieldMax(halo, func(x, y, z float64) (float64, float64) {
 		vpv, vsv, r := vp(x, y, z), vs(x, y, z), rho(x, y, z)
-		if vpv > p.VpMax {
-			p.VpMax = vpv
-		}
-		return r * (vpv*vpv - 2*vsv*vsv)
+		return r * (vpv*vpv - 2*vsv*vsv), vpv
 	})
 	p.Mu = geom.FillField(halo, func(x, y, z float64) float64 {
 		vsv, r := vs(x, y, z), rho(x, y, z)

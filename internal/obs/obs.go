@@ -205,12 +205,14 @@ func (r *Registry) addWorkerBusy(p Phase, w int, ns int64) {
 // across a run reproduces the run's wall clock (±rounding) even though the
 // workers' busy totals overlap in real time.
 //
-// A nil *Section is a valid no-op, so callers on the disabled path pay only
-// the Active() load in SectionStart.
+// A nil *Section is a valid no-op that reads no clock, so a propagator has
+// one Step body: on the disabled path it pays the Active() load in
+// SectionStart and a nil check per call below.
 type Section struct {
-	r     *Registry
-	start time.Time
-	busy  [NumPhases]atomic.Int64
+	r      *Registry
+	start  time.Time
+	blocks *Histogram // "block_ns": one parallel block's whole update
+	busy   [NumPhases]atomic.Int64
 }
 
 // SectionStart opens a section against the active registry, or returns nil
@@ -220,15 +222,16 @@ func SectionStart() *Section {
 	if r == nil {
 		return nil
 	}
-	return &Section{r: r, start: time.Now()}
+	return &Section{r: r, start: time.Now(), blocks: r.Histogram("block_ns")}
 }
 
-// Registry returns the registry the section reports to (nil for no-op).
-func (s *Section) Registry() *Registry {
+// Now reads the clock for a later Observe; the zero time on a no-op
+// section.
+func (s *Section) Now() time.Time {
 	if s == nil {
-		return nil
+		return time.Time{}
 	}
-	return s.r
+	return time.Now()
 }
 
 // Observe charges the time elapsed since start to phase p on behalf of
@@ -245,13 +248,24 @@ func (s *Section) Observe(p Phase, w int, start time.Time) {
 	s.r.addWorkerBusy(p, w, ns)
 }
 
-// End closes the section and distributes its wall time over the observed
-// phases proportionally to busy time. Sections with no observations leave
-// their wall time unattributed (it surfaces as PhaseOverhead residual).
-func (s *Section) End() {
+// ObserveBlock feeds the time since start — one parallel block's whole
+// update, all phases — to the "block_ns" histogram.
+func (s *Section) ObserveBlock(start time.Time) {
 	if s == nil {
 		return
 	}
+	s.blocks.Observe(time.Since(start))
+}
+
+// End closes the section: it counts one Step of points grid-point updates
+// and distributes the section's wall time over the observed phases
+// proportionally to busy time. Sections with no observations leave their
+// wall time unattributed (it surfaces as PhaseOverhead residual).
+func (s *Section) End(points int64) {
+	if s == nil {
+		return
+	}
+	s.r.AddStep(points)
 	wall := time.Since(s.start).Nanoseconds()
 	if wall <= 0 {
 		return

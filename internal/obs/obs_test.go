@@ -42,7 +42,7 @@ func TestWorkerBusyUnderParFor(t *testing.T) {
 	par.ForWorkers(256, func(w, i int) {
 		sec.Observe(obs.PhaseStencil, w, time.Now().Add(-time.Millisecond))
 	})
-	sec.End()
+	sec.End(0)
 	var total time.Duration
 	for _, row := range r.Snapshot().Workers {
 		total += row[obs.PhaseStencil.String()]
@@ -114,19 +114,18 @@ func TestDisabledIsNoOp(t *testing.T) {
 		t.Fatal("SectionStart() != nil while disabled")
 	}
 	// All no-op paths must be panic-free.
-	sec.Observe(obs.PhaseStencil, 0, time.Now())
-	sec.End()
-	if sec.Registry() != nil {
-		t.Fatal("nil section has a registry")
-	}
+	sec.Observe(obs.PhaseStencil, 0, sec.Now())
+	sec.ObserveBlock(sec.Now())
+	sec.End(1)
 	var nilReg *obs.Registry
 	if nilReg.Tracer() != nil {
 		t.Fatal("nil registry has a tracer")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		s := obs.SectionStart()
-		s.Observe(obs.PhaseInject, 1, time.Time{})
-		s.End()
+		s.Observe(obs.PhaseInject, 1, s.Now())
+		s.ObserveBlock(s.Now())
+		s.End(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instrumentation allocates %.1f objects/op, want 0", allocs)
@@ -144,7 +143,7 @@ func TestSectionAttribution(t *testing.T) {
 	sec.Observe(obs.PhaseStencil, 0, time.Now().Add(-30*time.Millisecond))
 	sec.Observe(obs.PhaseInject, 1, time.Now().Add(-10*time.Millisecond))
 	time.Sleep(2 * time.Millisecond) // give the section a measurable wall
-	sec.End()
+	sec.End(0)
 
 	snap := r.Snapshot()
 	st := snap.Phases[obs.PhaseStencil.String()]

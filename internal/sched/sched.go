@@ -193,8 +193,9 @@ func newMetrics() *metrics {
 // tasks. Run returns when all tasks (and their exec calls) have completed.
 //
 // workers ≤ 1 runs a serial schedule that chains each tile through its
-// local steps in exactly the lexicographic order of RunWTB — the pipelined
-// schedule degrades to the sequential one, not to a slower shuffle of it.
+// local steps in exactly the lexicographic order of the paper's Listing 6:
+// it is tiling's WTB kind, and what the pipelined kind degrades to on one
+// worker — the sequential schedule itself, not a slower shuffle of it.
 // Graphs built under FaultDropEdge run a deterministic single-threaded
 // adversarial order instead (see FaultDropEdge).
 func (g *TileGraph) Run(workers int, exec func(worker, bx, by, k int)) {
@@ -255,8 +256,8 @@ func (g *TileGraph) forReadySuccs(id int, visit func(succ int, own bool)) {
 // runSerial drains the graph on the calling goroutine. Ready tasks are
 // kept on a LIFO stack seeded in reverse id order, and a completed task
 // chains directly into its own-(k+1) successor when that successor became
-// ready — together these reproduce the exact for-bx/for-by/for-k order of
-// the sequential WTB schedule, preserving its cache behaviour.
+// ready — together these give the exact for-bx/for-by/for-k order of
+// Listing 6, and with it the sequential schedule's cache behaviour.
 func (g *TileGraph) runSerial(m *metrics, exec func(worker, bx, by, k int)) {
 	n := g.Tasks()
 	stack := make([]int32, 0, g.nbx*g.nby)

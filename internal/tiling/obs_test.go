@@ -8,48 +8,56 @@ import (
 	"wavetile/internal/obs"
 )
 
-// TestRunWTBObservability runs the WTB schedule against an installed
-// registry + tracer and checks the schedule-level counters, the per-time-
-// tile spans, and the sparse-phase attribution of the spatial schedule.
+// TestRunWTBObservability runs both graph drains against an installed
+// registry + tracer and checks the one vocabulary they share: the
+// wtb_time_tiles counter, a time-tile span per time tile, and a task span
+// per executed task, counted by the graph's own sched_tasks.
 func TestRunWTBObservability(t *testing.T) {
-	r := obs.NewRegistry()
-	restore := obs.Swap(r)
-	defer restore()
-	tr := r.StartTrace()
+	for _, kind := range []Kind{WTB, WTBPipelined} {
+		r := obs.NewRegistry()
+		restore := obs.Swap(r)
+		tr := r.StartTrace()
 
-	m := newMock(20, 20, 9, 2, []int{0})
-	cfg := Config{TT: 4, TileX: 8, TileY: 8, BlockX: 4, BlockY: 4}
-	if err := RunWTB(m, cfg); err != nil {
-		t.Fatal(err)
-	}
-	m.assertExactlyOnce(t)
+		m := newMock(20, 20, 9, 2, []int{0})
+		cfg := Config{TT: 4, TileX: 8, TileY: 8, BlockX: 4, BlockY: 4}
+		err := Run(m, kind, cfg, 0, m.nt, nil)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.assertExactlyOnce(t)
 
-	snap := r.Snapshot()
-	wantTT := int64(3) // ceil(9/4)
-	if got := snap.Counters["wtb_time_tiles"]; got != wantTT {
-		t.Fatalf("wtb_time_tiles = %d, want %d", got, wantTT)
-	}
-	if snap.Counters["wtb_space_tiles"] <= 0 {
-		t.Fatal("no space tiles counted")
-	}
+		snap := r.Snapshot()
+		wantTT := int64(3) // ceil(9/4)
+		if got := snap.Counters["wtb_time_tiles"]; got != wantTT {
+			t.Fatalf("kind %d: wtb_time_tiles = %d, want %d", kind, got, wantTT)
+		}
+		if snap.Counters["sched_tasks"] <= 0 || snap.Counters["sched_tasks_empty"] <= 0 {
+			t.Fatalf("kind %d: tasks %d / empty tasks %d not counted", kind,
+				snap.Counters["sched_tasks"], snap.Counters["sched_tasks_empty"])
+		}
 
-	var timeTileSpans, tileSpans int
-	for _, ev := range tr.Events() {
-		switch {
-		case strings.HasPrefix(ev.Name, "time-tile"):
-			timeTileSpans++
-		case strings.HasPrefix(ev.Name, "tile"):
-			tileSpans++
-			if ev.Args["t0"] == nil || ev.Args["bx"] == nil {
-				t.Fatalf("tile span missing args: %+v", ev.Args)
+		var timeTileSpans, taskSpans int
+		for _, ev := range tr.Events() {
+			switch {
+			case strings.HasPrefix(ev.Name, "time-tile"):
+				timeTileSpans++
+				if ev.Args["t0"] == nil || ev.Args["t1"] == nil {
+					t.Fatalf("time-tile span missing args: %+v", ev.Args)
+				}
+			case strings.HasPrefix(ev.Name, "task"):
+				taskSpans++
+				if ev.Args["t"] == nil || ev.Args["bx"] == nil {
+					t.Fatalf("task span missing args: %+v", ev.Args)
+				}
 			}
 		}
-	}
-	if int64(timeTileSpans) != wantTT {
-		t.Fatalf("%d time-tile spans, want %d (≥ one per time tile)", timeTileSpans, wantTT)
-	}
-	if int64(tileSpans) != snap.Counters["wtb_space_tiles"] {
-		t.Fatalf("%d tile spans vs %d counted tiles", tileSpans, snap.Counters["wtb_space_tiles"])
+		if int64(timeTileSpans) != wantTT {
+			t.Fatalf("kind %d: %d time-tile spans, want %d", kind, timeTileSpans, wantTT)
+		}
+		if int64(taskSpans) != snap.Counters["sched_tasks"] {
+			t.Fatalf("kind %d: %d task spans vs %d counted tasks", kind, taskSpans, snap.Counters["sched_tasks"])
+		}
 	}
 }
 

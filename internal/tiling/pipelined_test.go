@@ -134,35 +134,29 @@ func TestWTBPipelinedDependencyStamps(t *testing.T) {
 	}
 }
 
-func TestWTBPipelinedRangeComposes(t *testing.T) {
-	withWorkers(t, 4)
-	m := newMock(24, 20, 12, 2, []int{0})
-	cfg := Config{TT: 3, TileX: 8, TileY: 8, BlockX: 4, BlockY: 4}
-	for t0 := 0; t0 < 12; t0 += 4 {
-		if err := RunWTBPipelinedRange(m, cfg, t0, t0+4); err != nil {
-			t.Fatal(err)
-		}
+// TestTaskHookFiresPerTask asserts Run's onTask hook runs exactly once per
+// non-empty space-time tile under either graph drain — the contract the
+// dist overlap path's boundary countdowns depend on.
+func TestTaskHookFiresPerTask(t *testing.T) {
+	for _, kind := range []Kind{WTB, WTBPipelined} {
+		hookFiresPerTask(t, kind)
 	}
-	m.assertExactlyOnce(t)
 }
 
-// TestWTBPipelinedHookFiresPerTask asserts OnTaskDone runs exactly once
-// per non-empty space-time tile — the contract the dist overlap path's
-// boundary countdowns depend on.
-func TestWTBPipelinedHookFiresPerTask(t *testing.T) {
+func hookFiresPerTask(t *testing.T, kind Kind) {
 	withWorkers(t, 4)
 	m := newMock(30, 26, 10, 2, []int{0})
 	cfg := Config{TT: 4, TileX: 8, TileY: 8, BlockX: 8, BlockY: 8}
 	var mu sync.Mutex
 	seen := map[[3]int]int{}
 	var calls atomic.Int64
-	h := PipelineHooks{OnTaskDone: func(bx, by, k int) {
+	onTask := func(bx, by, k int) {
 		calls.Add(1)
 		mu.Lock()
 		seen[[3]int{bx, by, k}]++
 		mu.Unlock()
-	}}
-	if err := RunWTBPipelinedHooked(m, cfg, 0, m.nt, h); err != nil {
+	}
+	if err := Run(m, kind, cfg, 0, m.nt, onTask); err != nil {
 		t.Fatal(err)
 	}
 	m.assertExactlyOnce(t)
@@ -181,7 +175,7 @@ func TestWTBPipelinedHookFiresPerTask(t *testing.T) {
 		}
 	}
 	if got := int(calls.Load()); got != want {
-		t.Fatalf("hook fired %d times, want %d", got, want)
+		t.Fatalf("kind %d: hook fired %d times, want %d", kind, got, want)
 	}
 	for key, n := range seen {
 		if n != m.nt/cfg.TT && n > 3 { // same (bx,by,k) recurs once per time tile

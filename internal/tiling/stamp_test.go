@@ -76,6 +76,7 @@ func (s *stampProp) MaxPhaseOffset() int {
 }
 func (s *stampProp) MinTile() int         { return 2 * s.radius * s.phases }
 func (s *stampProp) SetBlocks(bx, by int) { s.blockX, s.blockY = bx, by }
+func (s *stampProp) SetFused(bool)        {}
 func (s *stampProp) ApplySparse(int)      {}
 
 func (s *stampProp) Step(t int, raw grid.Region, fused bool) {
@@ -96,7 +97,7 @@ func (s *stampProp) Step(t int, raw grid.Region, fused bool) {
 			want = int32(t)
 		}
 		src := s.stamp[readPhase]
-		// Sequential check+write (races are ForBlocks' concern, already
+		// Sequential check+write (races are ForBlocksIndexed's concern, already
 		// tested); halo reads outside the domain are always fine (zeros).
 		for x := reg.X0; x < reg.X1; x++ {
 			for y := reg.Y0; y < reg.Y1; y++ {

@@ -5,9 +5,8 @@ import "wavetile/internal/grid"
 // TileGrid is the precomputed geometry of one WTB time tile: how many
 // skewed space tiles cover the domain, and where each tile's raw region
 // sits at each local step. It factors the index arithmetic of Listing 6
-// out of the schedule loops so the sequential runner (RunWTBRange), the
-// pipelined task-graph runner (RunWTBPipelined) and the distributed
-// boundary/interior split (internal/dist) all agree on tile placement by
+// out of the executor so that both graph drains of Run and the distributed
+// boundary/interior split (internal/dist) agree on tile placement by
 // construction.
 type TileGrid struct {
 	Cfg       Config
@@ -45,8 +44,7 @@ func (g TileGrid) Raw(bx, by, k int) grid.Region {
 
 // Empty reports whether tile (bx, by) at local step k cannot intersect
 // the domain for any field phase (phases shift further left by ≤ Off) —
-// the skip predicate of the sequential schedule, and the empty-task
-// predicate of the pipelined one.
+// the empty-task predicate of the time tile's graph.
 func (g TileGrid) Empty(bx, by, k int) bool {
 	r := g.Raw(bx, by, k)
 	return r.X1 <= 0 || r.Y1 <= 0 || r.X0-g.Off >= g.NX || r.Y0-g.Off >= g.NY

@@ -1,20 +1,23 @@
-// Package tiling implements the two execution schedules compared in the
-// paper:
+// Package tiling is the schedule executor: one time-tile loop (Run) whose
+// body is one of the two execution orders compared in the paper:
 //
 //   - spatial cache blocking (the highly-optimized baseline, Fig. 4a): each
 //     timestep updates the whole grid in parallel blocks, then applies the
 //     sparse off-the-grid operators;
 //   - wave-front temporal blocking, WTB (Listing 6, Figs. 7–8): the time
 //     axis is split into tiles of depth TT; within a time tile, skewed
-//     space tiles are evaluated sequentially, each carrying its points
-//     through all TT timesteps while they remain cache-resident. Every
-//     wavefront update is parallelized over block_x × block_y sub-blocks.
+//     space tiles each carry their points through all TT timesteps while
+//     they remain cache-resident. The space-time tiles of a time tile are
+//     the tasks of an internal/sched dependency graph, drained either
+//     serially — exactly Listing 6's lexicographic order — or by several
+//     workers with no barrier between wavefronts. Every wavefront update is
+//     parallelized over block_x × block_y sub-blocks.
 //
-// The schedules drive a Propagator through its Step method; the propagator
+// The executor drives a Propagator through its Step method; the propagator
 // owns the per-point kernels, clamps regions per field phase (multi-grid
 // wavefronts, Fig. 8b), and applies the fused sparse operators of
-// internal/core. Because both schedules invoke the exact same kernel code on
-// the exact same points (merely reordered), their results are bitwise
+// internal/core. Because every schedule invokes the exact same kernel code
+// on the exact same points (merely reordered), their results are bitwise
 // identical — the property the correctness tests assert.
 package tiling
 
@@ -26,6 +29,7 @@ import (
 	"wavetile/internal/grid"
 	"wavetile/internal/obs"
 	"wavetile/internal/par"
+	"wavetile/internal/sched"
 )
 
 // Propagator is a time-stepping wave kernel that the schedules can drive.
@@ -45,10 +49,17 @@ type Propagator interface {
 	MinTile() int
 	// SetBlocks fixes the intra-region parallel block shape.
 	SetBlocks(bx, by int)
+	// SetFused fixes which sparse-operator path the Step calls that follow
+	// use, and so where the receiver record is gathered from. The executor
+	// calls it (and SetBlocks) once per run or range, before the first Step
+	// and never while Steps are in flight — concurrent graph tasks only
+	// read what it set.
+	SetFused(fused bool)
 	// Step advances the propagator from time index t to t+1 on the raw
 	// (possibly out-of-domain; clamp per phase) region. With fused=true the
 	// precomputed sparse operators are applied inside the region; with
-	// fused=false the caller applies them globally via ApplySparse.
+	// fused=false the caller applies them globally via ApplySparse. fused
+	// matches the preceding SetFused.
 	Step(t int, raw grid.Region, fused bool)
 	// ApplySparse applies the baseline (Listing 1) off-the-grid operators
 	// for the step that computed time index t+1.
@@ -61,14 +72,14 @@ type Config struct {
 	TileX, TileY   int // space-tile shape (wavefront extent per time level)
 	BlockX, BlockY int // parallel sub-block shape inside a wavefront update
 
-	// Workers caps the worker count of the pipelined task-graph runner
-	// (RunWTBPipelined*); 0 means par.Workers. Survey drivers running K
-	// shots concurrently set it to Workers/K so the K task graphs split
-	// the machine instead of oversubscribing it. The sequential schedules
-	// (RunSpatial, RunWTB) parallelize through the shared par pool, whose
-	// dynamic chunk claiming load-balances concurrent callers on its own,
-	// so they take no explicit cap. Results are bitwise identical for any
-	// value (the worker-count invariance internal/verify asserts).
+	// Workers caps the worker count of the WTBPipelined drain; 0 means
+	// par.Workers. Survey drivers running K shots concurrently set it to
+	// Workers/K so the K task graphs split the machine instead of
+	// oversubscribing it. The Spatial and WTB kinds parallelize through the
+	// shared par pool, whose dynamic chunk claiming load-balances
+	// concurrent callers on its own, so they take no explicit cap. Results
+	// are bitwise identical for any value (the worker-count invariance
+	// internal/verify asserts).
 	Workers int
 }
 
@@ -88,31 +99,18 @@ func (c Config) Validate(p Propagator) error {
 	return nil
 }
 
-// blockBufs recycles the per-step block lists of ForBlocks across calls.
-// Every Step of every propagator splits its region here, so on a survey's
-// steady state this pool is what keeps the schedule hot path allocation-
-// free. Safe because the block slice is fully consumed (par.For joins)
-// before the buffer is returned.
+// blockBufs recycles the per-step block lists of ForBlocksIndexed across
+// calls. Every Step of every propagator splits its region here, so on a
+// survey's steady state this pool is what keeps the schedule hot path
+// allocation-free. Safe because the block slice is fully consumed
+// (par.ForWorkers joins) before the buffer is returned.
 var blockBufs = sync.Pool{New: func() any { return new([]grid.Region) }}
 
-// ForBlocks splits reg into bx×by blocks and runs f on each in parallel.
+// ForBlocksIndexed splits reg into bx×by blocks and runs f on each in
+// parallel, passing the index of the par worker that runs it so that
+// instrumented propagators can attribute block work per worker.
 // Propagators use it to parallelize one wavefront (or one baseline
 // timestep) over sub-blocks, the analogue of the paper's OpenMP loops.
-func ForBlocks(reg grid.Region, bx, by int, f func(grid.Region)) {
-	bp := blockBufs.Get().(*[]grid.Region)
-	blocks := reg.AppendBlocks((*bp)[:0], bx, by)
-	if len(blocks) == 1 {
-		f(blocks[0])
-	} else {
-		par.For(len(blocks), func(i int) { f(blocks[i]) })
-	}
-	*bp = blocks[:0]
-	blockBufs.Put(bp)
-}
-
-// ForBlocksIndexed is ForBlocks with the parallel worker index passed to f,
-// so instrumented propagators can attribute block work per worker (making
-// par contention and load imbalance visible in obs snapshots).
 func ForBlocksIndexed(reg grid.Region, bx, by int, f func(worker int, b grid.Region)) {
 	bp := blockBufs.Get().(*[]grid.Region)
 	blocks := reg.AppendBlocks((*bp)[:0], bx, by)
@@ -125,47 +123,32 @@ func ForBlocksIndexed(reg grid.Region, bx, by int, f func(worker int, b grid.Reg
 	blockBufs.Put(bp)
 }
 
-// RunSpatial executes the spatially-blocked baseline schedule: for every
-// timestep, the full grid is stepped in parallel blocks; the sparse
-// operators are then applied — fused (precomputed scheme) or unfused
-// (the paper's Listing 1 baseline) according to fused.
-func RunSpatial(p Propagator, blockX, blockY int, fused bool) {
-	p.SetBlocks(blockX, blockY)
-	nx, ny := p.GridShape()
-	// The raw region extends past the domain by the propagator's phase
-	// offset so that laggard phases (which shift their region back before
-	// clamping) still cover the full domain.
-	off := p.MaxPhaseOffset()
-	full := grid.Region{X0: 0, X1: nx + off, Y0: 0, Y1: ny + off}
-	nt := p.Steps()
-	r := obs.Active()
-	sp := r.Spans()
-	for t := 0; t < nt; t++ {
-		var stepStart time.Time
-		if sp.On() {
-			stepStart = time.Now()
-		}
-		p.Step(t, full, fused)
-		if !fused {
-			if r != nil {
-				sparseStart := time.Now()
-				p.ApplySparse(t)
-				r.AddPhase(obs.PhaseSparse, time.Since(sparseStart))
-			} else {
-				p.ApplySparse(t)
-			}
-		}
-		if sp.On() {
-			sp.Complete(fmt.Sprintf("step %d", t), "spatial", 0, stepStart, time.Since(stepStart),
-				map[string]any{"t": t})
-		}
-		if r != nil {
-			r.StepsDone(t+1, nt)
-		}
-	}
-}
+// Kind names the per-time-tile body Run executes.
+type Kind uint8
 
-// FaultSkewDelta perturbs the wavefront skew used by RunWTBRange. It exists
+const (
+	// Spatial is the spatially-blocked baseline with fused sparse
+	// operators: every timestep is one whole-domain Step. Only BlockX and
+	// BlockY of the Config apply. It never touches TileGrid or
+	// internal/sched, because it is the reference the verification oracle
+	// compares the tiled schedules against.
+	Spatial Kind = iota
+	// SpatialUnfused is Spatial with the paper's Listing-1 sparse operators
+	// applied after each step instead of the fused ones inside it.
+	SpatialUnfused
+	// WTB is wave-front temporal blocking with each time tile's graph
+	// drained on the calling goroutine, which visits the space tiles in
+	// Listing 6's lexicographic order, each carried through all its local
+	// steps. Sparse operators are always fused under WTB (that is the point
+	// of the paper).
+	WTB
+	// WTBPipelined is WTB with each time tile's graph drained by
+	// Config.Workers workers: tiles whose predecessors have completed run
+	// concurrently, with no barrier between the wavefronts of a time tile.
+	WTBPipelined
+)
+
+// FaultSkewDelta perturbs the wavefront skew of the tiled kinds. It exists
 // solely for the differential-verification harness (internal/verify), which
 // sets it to −1 to prove the schedule-equivalence oracle detects the
 // dependency violations an off-by-one in the wavefront offset causes;
@@ -173,100 +156,154 @@ func RunSpatial(p Propagator, blockX, blockY int, fused bool) {
 // schedule is running.
 var FaultSkewDelta int
 
-// RunWTB executes the wave-front temporal blocking schedule of Listing 6.
+// Run executes timesteps [tFrom, tTo) of p under the given schedule kind.
+// It is the one place that steps a propagator through time: whole runs,
+// checkpointed chunks and the per-exchange tiles of internal/dist all come
+// through here. Chunking a run at multiples of the schedule's time-tile
+// depth (cfg.TT; 1 for the spatial kinds) reproduces the uninterrupted
+// tile sequence exactly, so chunked and unchunked runs are bitwise
+// identical.
 //
-// For each time tile [t0, t0+tt): space tiles are visited sequentially in
-// lexicographic order; tile (bx, by) carries its points through all tt
-// local timesteps, its region shifting by −TimeSkew per local step k (the
-// wavefront angle of Fig. 7). In-place two-level wavefield buffers remain
-// consistent because, at the moment tile (bx,by) performs local step k,
-// every value it reads was produced by this tile or an earlier tile at the
-// correct time level and has not yet been overwritten — the skew makes all
-// inter-tile dependencies point lexicographically backwards. Sparse
-// operators are always fused under WTB (that is the point of the paper).
-func RunWTB(p Propagator, cfg Config) error {
-	return RunWTBRange(p, cfg, 0, p.Steps())
-}
-
-// RunWTBRange runs the WTB schedule over the time range [tFrom, tTo) only.
-// Callers that interleave tiles with other work — e.g. halo exchanges in a
-// distributed decomposition — drive one time tile at a time through this
-// entry point.
-func RunWTBRange(p Propagator, cfg Config, tFrom, tTo int) error {
-	if err := cfg.Validate(p); err != nil {
-		return err
+// Time tiles are sequential: one tile's graph drains before the next is
+// built. Within a tiled kind the graph orders exactly the pairs of tiles
+// whose footprints overlap (see internal/sched for the derivation from
+// TimeSkew and MaxPhaseOffset) and every grid point is written by exactly
+// one task per time level, so the result does not depend on the worker
+// count.
+//
+// onTask, when non-nil, runs on the executing worker immediately after each
+// non-empty task (bx, by, k) of a tiled kind completes — internal/dist uses
+// it to start packing halo planes the moment the last boundary tile of a
+// time tile finishes. It must be safe for concurrent calls on distinct
+// tasks and must not block on work that depends on tasks of the same time
+// tile.
+func Run(p Propagator, kind Kind, cfg Config, tFrom, tTo int, onTask func(bx, by, k int)) error {
+	tiled := kind == WTB || kind == WTBPipelined
+	fused := kind != SpatialUnfused
+	depth, workers := 1, 1
+	if tiled {
+		if err := cfg.Validate(p); err != nil {
+			return err
+		}
+		depth = cfg.TT
+		if kind == WTBPipelined {
+			workers = cfg.Workers
+			if workers <= 0 {
+				workers = par.Workers
+			}
+		}
 	}
 	p.SetBlocks(cfg.BlockX, cfg.BlockY)
+	p.SetFused(fused)
 
-	// Observability: counters are looked up once outside the tile loops; the
-	// span sinks (Chrome tracer and/or flight recorder) get one span per
-	// (time-tile, space-tile) plus one per time tile. All of it is skipped
-	// (r == nil) when observability is off.
+	// The raw spatial region extends past the domain by the propagator's
+	// phase offset so that laggard phases (which shift their region back
+	// before clamping) still cover the full domain.
+	nx, ny := p.GridShape()
+	off := p.MaxPhaseOffset()
+	full := grid.Region{X0: 0, X1: nx + off, Y0: 0, Y1: ny + off}
+	nt := p.Steps()
+
+	// Observability is resolved once per range; with it off (r == nil) the
+	// loop takes no clock readings.
 	r := obs.Active()
 	sp := r.Spans()
-	var cTimeTiles, cTiles, cSkipped *obs.Counter
-	if r != nil {
+	var cTimeTiles *obs.Counter
+	if r != nil && tiled {
 		cTimeTiles = r.Counter("wtb_time_tiles")
-		cTiles = r.Counter("wtb_space_tiles")
-		cSkipped = r.Counter("wtb_subtiles_skipped")
 	}
 
-	for t0 := tFrom; t0 < tTo; t0 += cfg.TT {
-		tt := min(cfg.TT, tTo-t0)
-		var ttStart time.Time
+	for t0 := tFrom; t0 < tTo; t0 += depth {
+		tt := min(depth, tTo-t0)
+		var start time.Time
 		var phasesBefore [obs.NumPhases]int64
-		if r != nil {
-			cTimeTiles.Add(1)
-			ttStart = time.Now()
-			if sp.On() {
-				phasesBefore = r.PhaseWalls()
-			}
+		if sp.On() {
+			start = time.Now()
+			phasesBefore = r.PhaseWalls()
 		}
-		tg := NewTileGrid(p, cfg, tt)
-		for bx := 0; bx < tg.NBX; bx++ {
-			for by := 0; by < tg.NBY; by++ {
-				var tileStart time.Time
-				if sp.On() {
-					tileStart = time.Now()
+		if tiled {
+			if cTimeTiles != nil {
+				cTimeTiles.Add(1)
+			}
+			drainTimeTile(p, cfg, t0, tt, workers, sp, onTask)
+		} else {
+			p.Step(t0, full, fused)
+			if !fused {
+				var sparseStart time.Time
+				if r != nil {
+					sparseStart = time.Now()
 				}
-				worked := false
-				for k := 0; k < tt; k++ {
-					if tg.Empty(bx, by, k) {
-						if cSkipped != nil {
-							cSkipped.Add(1)
-						}
-						continue
-					}
-					worked = true
-					p.Step(t0+k, tg.Raw(bx, by, k), true)
-				}
-				if r != nil && worked {
-					cTiles.Add(1)
-					if sp.On() {
-						// No worker field: this loop runs the wavefront's
-						// tiles sequentially, so there is no worker
-						// attribution to record.
-						sp.Complete(fmt.Sprintf("tile %d,%d", bx, by), "wtb", 1,
-							tileStart, time.Since(tileStart),
-							map[string]any{"bx": bx, "by": by, "t0": t0, "t1": t0 + tt})
-					}
+				p.ApplySparse(t0)
+				if r != nil {
+					r.AddPhase(obs.PhaseSparse, time.Since(sparseStart))
 				}
 			}
 		}
-		if r != nil {
-			if sp.On() {
-				args := map[string]any{"t0": t0, "t1": t0 + tt}
-				after := r.PhaseWalls()
-				for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
-					if d := after[ph] - phasesBefore[ph]; d > 0 {
-						args[ph.String()+"_ms"] = float64(d) / 1e6
-					}
-				}
-				sp.Complete(fmt.Sprintf("time-tile %d..%d", t0, t0+tt), "wtb", 0,
-					ttStart, time.Since(ttStart), args)
+		if sp.On() {
+			name, cat := fmt.Sprintf("step %d", t0), "spatial"
+			args := map[string]any{"t": t0}
+			if tiled {
+				name, cat = fmt.Sprintf("time-tile %d..%d", t0, t0+tt), "wtb"
+				args = map[string]any{"t0": t0, "t1": t0 + tt}
 			}
-			r.StepsDone(t0+tt, p.Steps())
+			after := r.PhaseWalls()
+			for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
+				if d := after[ph] - phasesBefore[ph]; d > 0 {
+					args[ph.String()+"_ms"] = float64(d) / 1e6
+				}
+			}
+			sp.Complete(name, cat, 0, start, time.Since(start), args)
+		}
+		if r != nil {
+			r.StepsDone(t0+tt, nt)
 		}
 	}
 	return nil
+}
+
+// drainTimeTile runs the tt local steps of the time tile starting at t0 as
+// one dependency graph. Tile and skipped-tile counts are the graph's own
+// sched_tasks / sched_tasks_empty counters; each executed task leaves one
+// span carrying the id of the worker that ran it, so pipeline gaps and
+// steal imbalance are visible per lane in the trace viewer.
+func drainTimeTile(p Propagator, cfg Config, t0, tt, workers int, sp obs.SpanRecorder, onTask func(bx, by, k int)) {
+	tg := NewTileGrid(p, cfg, tt)
+	g := sched.NewTileGraph(tg.NBX, tg.NBY, tt, p.MaxPhaseOffset() > 0, tg.Empty)
+	g.Run(workers, func(worker, bx, by, k int) {
+		var taskStart time.Time
+		if sp.On() {
+			taskStart = time.Now()
+		}
+		p.Step(t0+k, tg.Raw(bx, by, k), true)
+		if sp.On() {
+			sp.Complete(fmt.Sprintf("task %d,%d k=%d", bx, by, k), "sched", worker,
+				taskStart, time.Since(taskStart),
+				map[string]any{"bx": bx, "by": by, "k": k, "t": t0 + k})
+		}
+		if onTask != nil {
+			onTask(bx, by, k)
+		}
+	})
+}
+
+// RunSpatial executes the whole time axis under the spatially-blocked
+// baseline, with the sparse operators fused (precomputed scheme) or unfused
+// (the paper's Listing 1) according to fused.
+func RunSpatial(p Propagator, blockX, blockY int, fused bool) {
+	kind := Spatial
+	if !fused {
+		kind = SpatialUnfused
+	}
+	// The spatial kinds validate nothing, so Run cannot fail here.
+	_ = Run(p, kind, Config{BlockX: blockX, BlockY: blockY}, 0, p.Steps(), nil)
+}
+
+// RunWTB executes the whole time axis under WTB.
+func RunWTB(p Propagator, cfg Config) error {
+	return Run(p, WTB, cfg, 0, p.Steps(), nil)
+}
+
+// RunWTBPipelined executes the whole time axis under WTBPipelined.
+func RunWTBPipelined(p Propagator, cfg Config) error {
+	return Run(p, WTBPipelined, cfg, 0, p.Steps(), nil)
 }

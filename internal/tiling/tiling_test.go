@@ -49,6 +49,7 @@ func (m *mockProp) MaxPhaseOffset() int {
 }
 func (m *mockProp) MinTile() int         { return 2 * m.skew }
 func (m *mockProp) SetBlocks(bx, by int) { m.blockX, m.blockY = bx, by }
+func (m *mockProp) SetFused(bool)        {}
 func (m *mockProp) ApplySparse(t int) {
 	if m.sparseDelay > 0 {
 		time.Sleep(m.sparseDelay)
@@ -62,7 +63,7 @@ func (m *mockProp) Step(t int, raw grid.Region, fused bool) {
 		if reg.Empty() {
 			continue
 		}
-		ForBlocks(reg, m.blockX, m.blockY, func(b grid.Region) {
+		ForBlocksIndexed(reg, m.blockX, m.blockY, func(_ int, b grid.Region) {
 			m.mu.Lock()
 			for x := b.X0; x < b.X1; x++ {
 				for y := b.Y0; y < b.Y1; y++ {
@@ -204,7 +205,7 @@ func TestForBlocksCoversRegion(t *testing.T) {
 	reg := grid.Region{X0: 3, X1: 29, Y0: 1, Y1: 18}
 	var mu sync.Mutex
 	seen := map[[2]int]int{}
-	ForBlocks(reg, 7, 5, func(b grid.Region) {
+	ForBlocksIndexed(reg, 7, 5, func(_ int, b grid.Region) {
 		mu.Lock()
 		defer mu.Unlock()
 		for x := b.X0; x < b.X1; x++ {
@@ -221,22 +222,4 @@ func TestForBlocksCoversRegion(t *testing.T) {
 			t.Fatalf("point %v visited %d times", k, v)
 		}
 	}
-}
-
-func TestRunWTBRangeComposes(t *testing.T) {
-	// Driving the schedule one time-range at a time (as the distributed
-	// runtime does) must cover exactly what a single full run covers.
-	m1 := newMock(24, 20, 12, 2, []int{0})
-	cfg := Config{TT: 3, TileX: 8, TileY: 8, BlockX: 4, BlockY: 4}
-	if err := RunWTB(m1, cfg); err != nil {
-		t.Fatal(err)
-	}
-	m2 := newMock(24, 20, 12, 2, []int{0})
-	for t0 := 0; t0 < 12; t0 += 4 {
-		if err := RunWTBRange(m2, cfg, t0, t0+4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m1.assertExactlyOnce(t)
-	m2.assertExactlyOnce(t)
 }

@@ -45,6 +45,10 @@ func (p *Prop) MinTile() int { return 2 * p.r }
 // SetBlocks implements tiling.Propagator.
 func (p *Prop) SetBlocks(bx, by int) { p.blockX, p.blockY = bx, by }
 
+// SetFused implements tiling.Propagator; an access stream carries no
+// receiver record, so there is nothing to route.
+func (p *Prop) SetFused(bool) {}
+
 // TimeSkew implements tiling.Propagator (overridden for elastic via skew).
 func (p *Prop) TimeSkew() int { return p.r }
 

@@ -3,7 +3,7 @@
 // simulator (internal/cachesim).
 //
 // Each trace propagator implements tiling.Propagator, so the *actual*
-// schedule code — tiling.RunSpatial and tiling.RunWTB, with their skewing,
+// schedule code — tiling.Run's spatial and WTB kinds, with their skewing,
 // clamping and phase offsets — drives the address generation. The trace
 // kernels mirror the data layout (padded strides, z-contiguous rows) and
 // the row-access pattern of the real kernels at cache-line granularity: for

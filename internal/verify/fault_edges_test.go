@@ -18,13 +18,13 @@ func elasticFaultScenario() Scenario {
 }
 
 // TestOracleCatchesDroppedEdges proves every dependency-edge class of the
-// task-graph runtime is load-bearing: with one class deleted from the graph
+// task graph is load-bearing: with one class deleted from the graph
 // (sched.FaultDropEdge), the adversarial scheduler deliberately runs a
 // dependent tile before its now-unordered predecessor, and the oracle must
-// flag a wtb-pipelined divergence — while the barriered WTB schedule, which
-// never consults the graph, stays bitwise green. Together with
-// TestVerifyScenarios (no fault ⇒ 0 ULP) this shows the edge set is sharp:
-// nothing missing, nothing redundant.
+// flag a divergence in both schedules that drain the graph (wtb and
+// wtb-pipelined) — while the spatial kinds, which never consult it, stay
+// green. Together with TestVerifyScenarios (no fault ⇒ 0 ULP) this shows
+// the edge set is sharp: nothing missing, nothing redundant.
 func TestOracleCatchesDroppedEdges(t *testing.T) {
 	cases := []struct {
 		name string
@@ -64,10 +64,15 @@ func TestOracleCatchesDroppedEdges(t *testing.T) {
 			if rep.OK() {
 				t.Fatalf("oracle missed dropped %v edge", c.drop)
 			}
+			caught := map[string]bool{}
 			for _, d := range rep.Divergences {
-				if d.Schedule != "wtb-pipelined" {
+				caught[d.Schedule] = true
+				if d.Schedule != "wtb" && d.Schedule != "wtb-pipelined" {
 					t.Errorf("dropped graph edge leaked into schedule %q: %s", d.Schedule, d)
 				}
+			}
+			if !caught["wtb"] || !caught["wtb-pipelined"] {
+				t.Errorf("dropped %v edge not caught in both graph drains: %s", c.drop, rep)
 			}
 			t.Logf("dropped %v edge caught: %s", c.drop, &rep.Divergences[0])
 		})

@@ -12,6 +12,9 @@ import (
 
 func metamorphicScenarios(t *testing.T, n int) []Scenario {
 	t.Helper()
+	if testing.Short() {
+		n = (n + 1) / 2 // the race gate's size
+	}
 	return Generate(424242, n)
 }
 

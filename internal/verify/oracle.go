@@ -127,7 +127,7 @@ func RunOracle(s Scenario) (*Report, error) {
 	wtbDiverged := false
 	if d, ok := firstFieldDivergence("wtb", refFields, b.Prop.Fields()); ok {
 		wtbDiverged = true
-		if dd, derr := diagnoseWTB(b, s); derr == nil && dd != nil {
+		if dd, derr := diagnoseTiled(b, s, tiling.WTB, "wtb"); derr == nil && dd != nil {
 			d = *dd
 		}
 		rep.Divergences = append(rep.Divergences, d)
@@ -142,8 +142,8 @@ func RunOracle(s Scenario) (*Report, error) {
 		rep.addTracesBitwise("wtb", refRec, wtbRec)
 	}
 
-	// Pipelined WTB: the task-graph runtime must reproduce the reference
-	// bitwise under the same contract as barriered WTB — any divergence here
+	// Pipelined WTB: the several-worker drain must reproduce the reference
+	// bitwise under the same contract as the serial one — any divergence here
 	// means a missing or wrong dependency edge let a tile read a neighbour
 	// too early (see TestOracleCatchesDroppedEdges for the deliberate case).
 	b.Prop.Reset()
@@ -153,7 +153,7 @@ func RunOracle(s Scenario) (*Report, error) {
 	pipeDiverged := false
 	if d, ok := firstFieldDivergence("wtb-pipelined", refFields, b.Prop.Fields()); ok {
 		pipeDiverged = true
-		if dd, derr := diagnosePipelined(b, s); derr == nil && dd != nil {
+		if dd, derr := diagnoseTiled(b, s, tiling.WTBPipelined, "wtb-pipelined"); derr == nil && dd != nil {
 			d = *dd
 		}
 		rep.Divergences = append(rep.Divergences, d)
@@ -319,73 +319,32 @@ func (r *Report) compareTraces(schedule string, want, got [][]float32, tol float
 	}
 }
 
-// diagnoseWTB localizes a WTB divergence in time: it re-runs the fused
-// spatial schedule capturing a checkpoint at every time-tile boundary, then
-// replays WTB one time tile at a time (RunWTBRange) until a checkpoint
-// mismatches. The returned divergence carries the offending tile range and
-// the first differing point inside it. WTB state is only globally consistent
-// at time-tile boundaries, which is exactly where the checkpoints sit.
-func diagnoseWTB(b *built, s Scenario) (*Divergence, error) {
-	// Checkpoints of the spatial schedule at t = TT, 2TT, …, nt.
-	nx, ny := b.Prop.GridShape()
-	off := b.Prop.MaxPhaseOffset()
-	full := grid.Region{X0: 0, X1: nx + off, Y0: 0, Y1: ny + off}
+// diagnoseTiled localizes a divergence of a tiled schedule kind in time: it
+// re-runs the fused spatial schedule capturing a checkpoint at every
+// time-tile boundary, then replays the tiled kind one time tile at a time
+// until a checkpoint mismatches. The returned divergence carries the
+// offending tile range and the first differing point inside it. Tiled state
+// is only globally consistent at time-tile boundaries, which is exactly
+// where the checkpoints sit. Divergences caused by an actual ordering race
+// may not reproduce on replay (the pipelined drain is nondeterministic at
+// Workers > 1); the original final-state divergence is then reported as-is.
+func diagnoseTiled(b *built, s Scenario, kind tiling.Kind, name string) (*Divergence, error) {
 	nt := b.Prop.Steps()
-	b.Prop.Reset()
-	b.Prop.SetBlocks(s.WTB.BlockX, s.WTB.BlockY)
 	ckpts := map[int]map[string]*grid.Grid{}
-	for t := 0; t < nt; t++ {
-		b.Prop.Step(t, full, true)
-		if next := t + 1; next%s.WTB.TT == 0 || next == nt {
-			ckpts[next] = snapshotFields(b.Prop)
-		}
-	}
-
-	b.Prop.Reset()
-	for t0 := 0; t0 < nt; t0 += s.WTB.TT {
-		t1 := min(t0+s.WTB.TT, nt)
-		if err := tiling.RunWTBRange(b.Prop, s.WTB, t0, t1); err != nil {
-			return nil, err
-		}
-		if d, ok := firstFieldDivergence("wtb", ckpts[t1], b.Prop.Fields()); ok {
-			d.T0, d.T1 = t0, t1
-			return &d, nil
+	for _, replay := range []tiling.Kind{tiling.Spatial, kind} {
+		b.Prop.Reset()
+		for t0 := 0; t0 < nt; t0 += s.WTB.TT {
+			t1 := min(t0+s.WTB.TT, nt)
+			if err := tiling.Run(b.Prop, replay, s.WTB, t0, t1, nil); err != nil {
+				return nil, err
+			}
+			if replay == tiling.Spatial {
+				ckpts[t1] = snapshotFields(b.Prop)
+			} else if d, ok := firstFieldDivergence(name, ckpts[t1], b.Prop.Fields()); ok {
+				d.T0, d.T1 = t0, t1
+				return &d, nil
+			}
 		}
 	}
 	return nil, nil // final states match on replay (flaky divergence)
-}
-
-// diagnosePipelined is diagnoseWTB for the task-graph runtime: the replay
-// uses RunWTBPipelinedRange, so a scheduling (rather than tiling) defect is
-// localized to its first divergent time tile. Divergences caused by an
-// actual ordering race may not reproduce on replay (the schedule is
-// nondeterministic at Workers > 1); the original final-state divergence is
-// then reported as-is.
-func diagnosePipelined(b *built, s Scenario) (*Divergence, error) {
-	nx, ny := b.Prop.GridShape()
-	off := b.Prop.MaxPhaseOffset()
-	full := grid.Region{X0: 0, X1: nx + off, Y0: 0, Y1: ny + off}
-	nt := b.Prop.Steps()
-	b.Prop.Reset()
-	b.Prop.SetBlocks(s.WTB.BlockX, s.WTB.BlockY)
-	ckpts := map[int]map[string]*grid.Grid{}
-	for t := 0; t < nt; t++ {
-		b.Prop.Step(t, full, true)
-		if next := t + 1; next%s.WTB.TT == 0 || next == nt {
-			ckpts[next] = snapshotFields(b.Prop)
-		}
-	}
-
-	b.Prop.Reset()
-	for t0 := 0; t0 < nt; t0 += s.WTB.TT {
-		t1 := min(t0+s.WTB.TT, nt)
-		if err := tiling.RunWTBPipelinedRange(b.Prop, s.WTB, t0, t1); err != nil {
-			return nil, err
-		}
-		if d, ok := firstFieldDivergence("wtb-pipelined", ckpts[t1], b.Prop.Fields()); ok {
-			d.T0, d.T1 = t0, t1
-			return &d, nil
-		}
-	}
-	return nil, nil
 }

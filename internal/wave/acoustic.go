@@ -2,7 +2,6 @@ package wave
 
 import (
 	"fmt"
-	"time"
 
 	"wavetile/internal/fd"
 	"wavetile/internal/grid"
@@ -116,8 +115,13 @@ func (a *Acoustic) MinTile() int { return 2 * a.R }
 // SetBlocks fixes the parallel sub-block shape.
 func (a *Acoustic) SetBlocks(bx, by int) { a.blockX, a.blockY = bx, by }
 
+// SetFused fixes the sparse-operator path of the Steps that follow.
+func (a *Acoustic) SetFused(fused bool) { a.Ops.fused = fused }
+
 // Step advances u from time index t to t+1 on the clamped region, applying
-// fused injection and receiver sampling per block when fused is set.
+// fused injection and receiver sampling per block when fused is set. With
+// observability on, per-block phase timings are attributed per worker; the
+// work and its order are the same either way.
 func (a *Acoustic) Step(t int, raw grid.Region, fused bool) {
 	if a.ks.generic {
 		a.ks.noteStep()
@@ -127,43 +131,23 @@ func (a *Acoustic) Step(t int, raw grid.Region, fused bool) {
 	if reg.Empty() {
 		return
 	}
-	a.Ops.setFused(fused)
 	un := a.U[(t+1)&1]
-	if sec := obs.SectionStart(); sec != nil {
-		a.stepObserved(sec, t, reg, fused, un)
-		return
-	}
-	tiling.ForBlocks(reg, a.blockX, a.blockY, func(b grid.Region) {
-		a.kern(t, b)
-		if fused {
-			a.Ops.InjectFused(un, t, b)
-			a.Ops.SampleFused(un, t, b)
-		}
-	})
-}
-
-// stepObserved is Step's instrumented twin: identical work in identical
-// order, with per-block phase timings attributed per worker and the block
-// update duration fed to the "block_ns" histogram.
-func (a *Acoustic) stepObserved(sec *obs.Section, t int, reg grid.Region, fused bool, un *grid.Grid) {
-	r := sec.Registry()
-	hist := r.Histogram("block_ns")
+	sec := obs.SectionStart()
 	tiling.ForBlocksIndexed(reg, a.blockX, a.blockY, func(w int, b grid.Region) {
-		t0 := time.Now()
+		t0 := sec.Now()
 		a.kern(t, b)
 		sec.Observe(obs.PhaseStencil, w, t0)
 		if fused {
-			t1 := time.Now()
+			t1 := sec.Now()
 			a.Ops.InjectFused(un, t, b)
 			sec.Observe(obs.PhaseInject, w, t1)
-			t2 := time.Now()
+			t2 := sec.Now()
 			a.Ops.SampleFused(un, t, b)
 			sec.Observe(obs.PhaseSample, w, t2)
 		}
-		hist.Observe(time.Since(t0))
+		sec.ObserveBlock(t0)
 	})
-	r.AddStep(int64(reg.NumPoints()) * int64(a.P.Geom.Nz))
-	sec.End()
+	sec.End(int64(reg.NumPoints()) * int64(g.Nz))
 }
 
 // ApplySparse runs the Listing-1 baseline sparse operators after a full

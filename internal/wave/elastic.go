@@ -2,7 +2,6 @@ package wave
 
 import (
 	"fmt"
-	"time"
 
 	"wavetile/internal/fd"
 	"wavetile/internal/grid"
@@ -123,78 +122,51 @@ func (e *Elastic) MinTile() int { return 2 * e.R }
 // SetBlocks fixes the parallel sub-block shape.
 func (e *Elastic) SetBlocks(bx, by int) { e.blockX, e.blockY = bx, by }
 
+// SetFused fixes the sparse-operator path of the Steps that follow.
+func (e *Elastic) SetFused(fused bool) { e.Ops.fused = fused }
+
 // Step advances all nine fields from time index t to t+1 on the raw region:
 // first the velocity phase on the clamped base region, then the stress
-// phase on the region shifted back by the radius.
+// phase on the region shifted back by the radius. One obs section spans
+// both phases (both count as PhaseStencil; sampling and injection are
+// attributed to their own phases).
 func (e *Elastic) Step(t int, raw grid.Region, fused bool) {
 	if e.ks.generic {
 		e.ks.noteStep()
 	}
 	g := e.P.Geom
-	e.Ops.setFused(fused)
 	vreg := raw.Clamp(g.Nx, g.Ny)
 	sreg := raw.Shift(-e.R, -e.R).Clamp(g.Nx, g.Ny)
-	if sec := obs.SectionStart(); sec != nil {
-		e.stepObserved(sec, t, vreg, sreg, fused)
-		return
-	}
-	if !vreg.Empty() {
-		tiling.ForBlocks(vreg, e.blockX, e.blockY, func(b grid.Region) {
-			e.velKern(b)
-			if fused {
-				e.Ops.SampleFused(e.Vz, t, b)
-			}
-		})
-	}
-	if !sreg.Empty() {
-		tiling.ForBlocks(sreg, e.blockX, e.blockY, func(b grid.Region) {
-			e.stressKern(b)
-			if fused {
-				e.Ops.InjectFused(e.Txx, t, b)
-				e.Ops.InjectFused(e.Tyy, t, b)
-				e.Ops.InjectFused(e.Tzz, t, b)
-			}
-		})
-	}
-}
-
-// stepObserved is Step's instrumented twin: one section spans both the
-// velocity and stress phases (both count as PhaseStencil; sampling and
-// injection are attributed to their own phases).
-func (e *Elastic) stepObserved(sec *obs.Section, t int, vreg, sreg grid.Region, fused bool) {
-	r := sec.Registry()
-	hist := r.Histogram("block_ns")
+	sec := obs.SectionStart()
 	if !vreg.Empty() {
 		tiling.ForBlocksIndexed(vreg, e.blockX, e.blockY, func(w int, b grid.Region) {
-			t0 := time.Now()
+			t0 := sec.Now()
 			e.velKern(b)
 			sec.Observe(obs.PhaseStencil, w, t0)
 			if fused {
-				t1 := time.Now()
+				t1 := sec.Now()
 				e.Ops.SampleFused(e.Vz, t, b)
 				sec.Observe(obs.PhaseSample, w, t1)
 			}
-			hist.Observe(time.Since(t0))
+			sec.ObserveBlock(t0)
 		})
 	}
 	if !sreg.Empty() {
 		tiling.ForBlocksIndexed(sreg, e.blockX, e.blockY, func(w int, b grid.Region) {
-			t0 := time.Now()
+			t0 := sec.Now()
 			e.stressKern(b)
 			sec.Observe(obs.PhaseStencil, w, t0)
 			if fused {
-				t1 := time.Now()
+				t1 := sec.Now()
 				e.Ops.InjectFused(e.Txx, t, b)
 				e.Ops.InjectFused(e.Tyy, t, b)
 				e.Ops.InjectFused(e.Tzz, t, b)
 				sec.Observe(obs.PhaseInject, w, t1)
 			}
-			hist.Observe(time.Since(t0))
+			sec.ObserveBlock(t0)
 		})
 	}
-	nz := int64(e.P.Geom.Nz)
-	r.AddStep(int64(vreg.NumPoints())*nz + int64(sreg.NumPoints())*nz)
-	sec.End()
+	sec.End(int64(vreg.NumPoints()+sreg.NumPoints()) * int64(g.Nz))
 }
 
 // ApplySparse runs the Listing-1 baseline sparse operators: explosive

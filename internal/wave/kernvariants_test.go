@@ -32,7 +32,7 @@ type variantCase struct {
 // order the paper uses (4, 8, 12 — radii 2, 4, 6).
 func variantCases() []variantCase {
 	var cases []variantCase
-	for _, so := range []int{4, 8, 12} {
+	for _, so := range paperOrders() {
 		so := so
 		cases = append(cases,
 			variantCase{fmt.Sprintf("acoustic/SO%d", so), so,

@@ -3,7 +3,6 @@ package wave
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"wavetile/internal/fd"
 	"wavetile/internal/grid"
@@ -145,7 +144,11 @@ func (w *TTI) MinTile() int { return 2 * w.R }
 // SetBlocks fixes the parallel sub-block shape.
 func (w *TTI) SetBlocks(bx, by int) { w.blockX, w.blockY = bx, by }
 
-// Step advances p and q from time index t to t+1 on the clamped region.
+// SetFused fixes the sparse-operator path of the Steps that follow.
+func (w *TTI) SetFused(fused bool) { w.Ops.fused = fused }
+
+// Step advances p and q from time index t to t+1 on the clamped region
+// (instrumented like Acoustic.Step).
 func (w *TTI) Step(t int, raw grid.Region, fused bool) {
 	if w.ks.generic {
 		w.ks.noteStep()
@@ -155,43 +158,24 @@ func (w *TTI) Step(t int, raw grid.Region, fused bool) {
 	if reg.Empty() {
 		return
 	}
-	w.Ops.setFused(fused)
 	pn, qn := w.Pw[(t+1)&1], w.Qw[(t+1)&1]
-	if sec := obs.SectionStart(); sec != nil {
-		w.stepObserved(sec, t, reg, fused, pn, qn)
-		return
-	}
-	tiling.ForBlocks(reg, w.blockX, w.blockY, func(b grid.Region) {
-		w.kern(t, b)
-		if fused {
-			w.Ops.InjectFused(pn, t, b)
-			w.Ops.InjectFused(qn, t, b)
-			w.Ops.SampleFused(pn, t, b)
-		}
-	})
-}
-
-// stepObserved is Step's instrumented twin (see Acoustic.stepObserved).
-func (w *TTI) stepObserved(sec *obs.Section, t int, reg grid.Region, fused bool, pn, qn *grid.Grid) {
-	r := sec.Registry()
-	hist := r.Histogram("block_ns")
+	sec := obs.SectionStart()
 	tiling.ForBlocksIndexed(reg, w.blockX, w.blockY, func(wk int, b grid.Region) {
-		t0 := time.Now()
+		t0 := sec.Now()
 		w.kern(t, b)
 		sec.Observe(obs.PhaseStencil, wk, t0)
 		if fused {
-			t1 := time.Now()
+			t1 := sec.Now()
 			w.Ops.InjectFused(pn, t, b)
 			w.Ops.InjectFused(qn, t, b)
 			sec.Observe(obs.PhaseInject, wk, t1)
-			t2 := time.Now()
+			t2 := sec.Now()
 			w.Ops.SampleFused(pn, t, b)
 			sec.Observe(obs.PhaseSample, wk, t2)
 		}
-		hist.Observe(time.Since(t0))
+		sec.ObserveBlock(t0)
 	})
-	r.AddStep(int64(reg.NumPoints()) * int64(w.P.Geom.Nz))
-	sec.End()
+	sec.End(int64(reg.NumPoints()) * int64(g.Nz))
 }
 
 // ApplySparse runs the Listing-1 baseline sparse operators.

@@ -52,7 +52,7 @@ type SparseOps struct {
 	recDirect [][]float32 // baseline receiver traces [t][r]
 
 	scale     sparse.ScaleFunc
-	fused     bool // whether the last run used the fused path
+	fused     bool // sparse-operator path of the current run, set by the propagator's SetFused
 	recGroups int  // support groups per receiver (1 trilinear, 64 sinc)
 	ampBuf    []float32
 }
@@ -249,15 +249,6 @@ func (s *SparseOps) SetMovingSources(nx, ny, nz int, hx, hy, hz float64,
 	}
 	s.SrcD = dcmp
 	return nil
-}
-
-// setFused records which sparse-operator path the current run uses, so
-// Receivers knows where to gather from. Called once per (single-threaded)
-// Step invocation, never from parallel block workers.
-func (s *SparseOps) setFused(v bool) {
-	if s.fused != v {
-		s.fused = v
-	}
 }
 
 // InjectFused applies the fused, compressed injection for the step that

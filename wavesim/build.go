@@ -1,6 +1,7 @@
 package wavesim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -278,22 +279,64 @@ func (s *Simulation) Reset() {
 // the returned Result additionally carries the per-phase wall-time
 // breakdown and counter deltas of this run.
 func (s *Simulation) Run(sched Schedule) (*Result, error) {
-	s.Reset()
-	reg, restore := s.obsRegistry()
+	_, restore := s.obsRegistry()
 	defer restore()
+	return s.runShot(context.Background(), sched, 0, ResumeOptions{}, true)
+}
+
+// runShot is the one shot body, behind Run and every survey lane: reset,
+// optionally restore shot's checkpoint from ro, execute the remaining
+// timesteps — in chunks with a checkpoint after each when ro asks for a
+// cadence — and assemble the Result. perRunObs attaches this run's obs
+// snapshot delta to the Result; survey lanes leave it off because K lanes
+// share the process-global registry and their deltas would mix, so batch
+// shots report through the registry's counters only.
+func (s *Simulation) runShot(ctx context.Context, sched Schedule, shot int, ro ResumeOptions, perRunObs bool) (*Result, error) {
+	s.Reset()
+	nt := s.geom.Nt
+	t0 := 0
+	var prefix [][]float32
+	if ck := ro.Checkpoints[shot]; ck != nil {
+		if err := s.restoreCheckpoint(ck, sched); err != nil {
+			return nil, err
+		}
+		t0, prefix = ck.T, ck.receivers
+	}
+	checkpointing := ro.EveryTiles > 0 && ro.OnCheckpoint != nil
+	stride := nt
+	if checkpointing {
+		stride = tileDepth(sched) * ro.EveryTiles
+	}
+	reg := obs.Active()
 	var before obs.Snapshot
-	if reg != nil {
+	if reg != nil && perRunObs {
 		before = reg.Snapshot()
 	}
 
 	start := time.Now()
-	if err := s.execSchedule(sched); err != nil {
-		return nil, err
+	for t := t0; t < nt; {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		end := min(t+stride, nt)
+		if err := s.execSchedule(sched, t, end); err != nil {
+			return nil, err
+		}
+		t = end
+		if checkpointing && t < nt {
+			ck, err := captureCheckpoint(s, shot, t, prefix)
+			if err != nil {
+				return nil, err
+			}
+			if err := ro.OnCheckpoint(ck); err != nil {
+				return nil, fmt.Errorf("wavesim: shot %d checkpoint at t=%d: %w", shot, t, err)
+			}
+		}
 	}
 	elapsed := time.Since(start)
 
 	res := newResult(sched.schedule(), elapsed,
-		int64(s.geom.Nx)*int64(s.geom.Ny)*int64(s.geom.Nz)*int64(s.geom.Nt))
+		int64(s.geom.Nx)*int64(s.geom.Ny)*int64(s.geom.Nz)*int64(nt-t0))
 	res.sched = sched
 	res.Kernel = s.KernelName()
 	if reg != nil {
@@ -301,40 +344,71 @@ func (s *Simulation) Run(sched Schedule) (*Result, error) {
 		// /metrics endpoint can break run counts down without log parsing.
 		reg.Counter(obs.SeriesName("runs_total",
 			"physics", s.opts.Physics.String(), "schedule", sched.schedule())).Add(1)
-		res.attachObs(reg.Snapshot().DeltaFrom(before))
+		if perRunObs {
+			res.attachObs(reg.Snapshot().DeltaFrom(before))
+		}
 	}
 	rec, err := s.ops.Receivers()
 	if err != nil {
 		return nil, err
 	}
+	// Rows [0, t0) were recorded before the interruption this run resumed
+	// from; its own sampler has zeros there. Splice the carried-over prefix
+	// back in.
+	for t := range prefix {
+		rec[t] = prefix[t]
+	}
 	res.Receivers = rec
 	return res, nil
 }
 
-// execSchedule drives the propagator under sched. It is the single
-// schedule dispatch shared by Run and the survey lanes' quiet runs.
-func (s *Simulation) execSchedule(sched Schedule) error {
+// execSchedule drives the propagator over timesteps [t0, t1) under sched
+// through the one executor, tiling.Run. Running a schedule in chunks whose
+// boundaries are multiples of its tileDepth is bitwise identical to one
+// uninterrupted range.
+func (s *Simulation) execSchedule(sched Schedule, t0, t1 int) error {
+	kind, cfg, err := tilingPlan(sched)
+	if err != nil {
+		return err
+	}
+	cfg.Workers = s.workers
+	return tiling.Run(s.prop, kind, cfg, t0, t1, nil)
+}
+
+// tilingPlan maps a public schedule value onto the executor's kind and
+// configuration.
+func tilingPlan(sched Schedule) (tiling.Kind, tiling.Config, error) {
 	switch c := sched.(type) {
 	case Spatial:
-		bx, by := c.BlockX, c.BlockY
-		if bx == 0 {
-			bx = 8
+		kind := tiling.Spatial
+		if c.Unfused {
+			kind = tiling.SpatialUnfused
 		}
-		if by == 0 {
-			by = 8
+		cfg := tiling.Config{BlockX: c.BlockX, BlockY: c.BlockY}
+		if cfg.BlockX == 0 {
+			cfg.BlockX = 8
 		}
-		tiling.RunSpatial(s.prop, bx, by, !c.Unfused)
-		return nil
+		if cfg.BlockY == 0 {
+			cfg.BlockY = 8
+		}
+		return kind, cfg, nil
 	case WTB:
-		cfg := tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY, BlockX: c.BlockX, BlockY: c.BlockY}
-		return tiling.RunWTB(s.prop, cfg)
+		return tiling.WTB, wtbConfig(c), nil
 	case WTBPipelined:
-		cfg := tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY,
-			BlockX: c.BlockX, BlockY: c.BlockY, Workers: s.workers}
-		return tiling.RunWTBPipelined(s.prop, cfg)
-	default:
-		return fmt.Errorf("wavesim: unknown schedule %T", sched)
+		return tiling.WTBPipelined, wtbConfig(WTB(c)), nil
 	}
+	return 0, tiling.Config{}, fmt.Errorf("wavesim: unknown schedule %T", sched)
+}
+
+func wtbConfig(c WTB) tiling.Config {
+	return tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY, BlockX: c.BlockX, BlockY: c.BlockY}
+}
+
+// tileDepth is the schedule's time-tile granularity: chunking a run at
+// multiples of it reproduces the uninterrupted tile sequence exactly.
+func tileDepth(sched Schedule) int {
+	_, cfg, _ := tilingPlan(sched) // an unknown schedule fails in execSchedule
+	return max(1, cfg.TT)
 }
 
 // obsRegistry resolves the registry a run reports to: a process-global one
@@ -410,12 +484,7 @@ func (s *Simulation) RunWithSnapshots(every, yPlane, blockX, blockY int) (*Resul
 	if every < 1 || yPlane < 0 || yPlane >= s.geom.Ny {
 		return nil, nil, fmt.Errorf("wavesim: bad snapshot spec every=%d y=%d", every, yPlane)
 	}
-	if blockX == 0 {
-		blockX = 8
-	}
-	if blockY == 0 {
-		blockY = 8
-	}
+	sched := Spatial{BlockX: blockX, BlockY: blockY}
 	s.Reset()
 	reg, restore := s.obsRegistry()
 	defer restore()
@@ -424,12 +493,11 @@ func (s *Simulation) RunWithSnapshots(every, yPlane, blockX, blockY int) (*Resul
 		before = reg.Snapshot()
 	}
 	start := time.Now()
-	s.prop.SetBlocks(blockX, blockY)
-	off := s.prop.MaxPhaseOffset()
-	full := grid.Region{X0: 0, X1: s.geom.Nx + off, Y0: 0, Y1: s.geom.Ny + off}
 	var snaps [][][]float32
 	for t := 0; t < s.geom.Nt; t++ {
-		s.prop.Step(t, full, true)
+		if err := s.execSchedule(sched, t, t+1); err != nil {
+			return nil, nil, err
+		}
 		if t%every == 0 {
 			snaps = append(snaps, s.capturePlane(t+1, yPlane))
 		}
@@ -437,7 +505,7 @@ func (s *Simulation) RunWithSnapshots(every, yPlane, blockX, blockY int) (*Resul
 	elapsed := time.Since(start)
 	res := newResult("spatial+snapshots", elapsed,
 		int64(s.geom.Nx)*int64(s.geom.Ny)*int64(s.geom.Nz)*int64(s.geom.Nt))
-	res.sched = Spatial{BlockX: blockX, BlockY: blockY}
+	res.sched = sched
 	res.Kernel = s.KernelName()
 	if reg != nil {
 		res.attachObs(reg.Snapshot().DeltaFrom(before))

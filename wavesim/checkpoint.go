@@ -7,12 +7,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"time"
 
 	"wavetile/internal/batch"
 	"wavetile/internal/grid"
 	"wavetile/internal/obs"
-	"wavetile/internal/tiling"
 	"wavetile/internal/verify"
 )
 
@@ -21,9 +19,9 @@ import (
 // A shot checkpoint captures the propagator's full wavefield state at a
 // time-tile boundary plus the receiver rows recorded so far. Restoring the
 // fields and re-running the remaining range through the same schedule is
-// bitwise identical to never having stopped: the WTB/pipelined range
-// runners chunk at multiples of the time-tile depth (the exact tile
-// sequence of an uninterrupted run), and source injection and receiver
+// bitwise identical to never having stopped: the executor (tiling.Run)
+// chunks at multiples of the time-tile depth (the exact tile sequence of
+// an uninterrupted run), and source injection and receiver
 // sampling index by absolute timestep, so they are oblivious to where the
 // run was cut. This is the same replay primitive the verify harness uses
 // for first-divergence diagnostics, promoted to a public resume API for
@@ -166,61 +164,12 @@ type ResumeOptions struct {
 	OnShot func(shot int, res *Result)
 }
 
-// tileDepth is the schedule's time-tile granularity: chunking a run at
-// multiples of it reproduces the uninterrupted tile sequence exactly.
-func tileDepth(sched Schedule) int {
-	switch c := sched.(type) {
-	case WTB:
-		return max(1, c.TimeTile)
-	case WTBPipelined:
-		return max(1, c.TimeTile)
-	default:
-		return 1
-	}
-}
-
 // fields exposes the propagator's live wavefield buffers by name.
 func (s *Simulation) fields() map[string]*grid.Grid {
 	if f, ok := s.prop.(interface{ Fields() map[string]*grid.Grid }); ok {
 		return f.Fields()
 	}
 	return nil
-}
-
-// execScheduleRange drives the propagator over timesteps [t0, t1) only.
-// Running a schedule in chunks whose boundaries are multiples of its
-// tileDepth is bitwise identical to one uninterrupted execSchedule.
-func (s *Simulation) execScheduleRange(sched Schedule, t0, t1 int) error {
-	switch c := sched.(type) {
-	case Spatial:
-		bx, by := c.BlockX, c.BlockY
-		if bx == 0 {
-			bx = 8
-		}
-		if by == 0 {
-			by = 8
-		}
-		s.prop.SetBlocks(bx, by)
-		nx, ny := s.prop.GridShape()
-		off := s.prop.MaxPhaseOffset()
-		full := grid.Region{X0: 0, X1: nx + off, Y0: 0, Y1: ny + off}
-		for t := t0; t < t1; t++ {
-			s.prop.Step(t, full, !c.Unfused)
-			if c.Unfused {
-				s.prop.ApplySparse(t)
-			}
-		}
-		return nil
-	case WTB:
-		cfg := tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY, BlockX: c.BlockX, BlockY: c.BlockY}
-		return tiling.RunWTBRange(s.prop, cfg, t0, t1)
-	case WTBPipelined:
-		cfg := tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY,
-			BlockX: c.BlockX, BlockY: c.BlockY, Workers: s.workers}
-		return tiling.RunWTBPipelinedRange(s.prop, cfg, t0, t1)
-	default:
-		return fmt.Errorf("wavesim: unknown schedule %T", sched)
-	}
 }
 
 // captureCheckpoint deep-copies the simulation's state at boundary t.
@@ -277,103 +226,15 @@ func (s *Simulation) restoreCheckpoint(ck *ShotCheckpoint, sched Schedule) error
 	return nil
 }
 
-// runShotResumable executes one shot, optionally starting from a
-// checkpoint and emitting periodic checkpoints at time-tile boundaries.
-func (sv *Survey) runShotResumable(ctx context.Context, sim *Simulation, sched Schedule, shot int, ro ResumeOptions) (*Result, error) {
-	sim.ops.InstallSources(sv.bundles[shot])
-	sim.Reset()
-	nt := sim.geom.Nt
-	t0 := 0
-	var prefix [][]float32
-	if ck := ro.Checkpoints[shot]; ck != nil {
-		if err := sim.restoreCheckpoint(ck, sched); err != nil {
-			return nil, err
-		}
-		t0, prefix = ck.T, ck.receivers
-	}
-	stride := nt
-	if ro.EveryTiles > 0 && ro.OnCheckpoint != nil {
-		stride = tileDepth(sched) * ro.EveryTiles
-	}
-	start := time.Now()
-	for t := t0; t < nt; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		end := min(t+stride, nt)
-		if err := sim.execScheduleRange(sched, t, end); err != nil {
-			return nil, err
-		}
-		t = end
-		if t < nt && ro.OnCheckpoint != nil && ro.EveryTiles > 0 {
-			ck, err := captureCheckpoint(sim, shot, t, prefix)
-			if err != nil {
-				return nil, err
-			}
-			if err := ro.OnCheckpoint(ck); err != nil {
-				return nil, fmt.Errorf("wavesim: shot %d checkpoint at t=%d: %w", shot, t, err)
-			}
-		}
-	}
-	elapsed := time.Since(start)
-	res := newResult(sched.schedule(), elapsed,
-		int64(sim.geom.Nx)*int64(sim.geom.Ny)*int64(sim.geom.Nz)*int64(nt-t0))
-	res.sched = sched
-	res.Kernel = sim.KernelName()
-	if reg := obs.Active(); reg != nil {
-		reg.Counter(obs.SeriesName("runs_total",
-			"physics", sim.opts.Physics.String(), "schedule", sched.schedule())).Add(1)
-	}
-	rec, err := sim.ops.Receivers()
-	if err != nil {
-		return nil, err
-	}
-	// Rows [0, t0) were recorded before the interruption; this run's
-	// sampler has zeros there. Splice the carried-over prefix back in.
-	for t := range prefix {
-		rec[t] = prefix[t]
-	}
-	res.Receivers = rec
-	return res, nil
-}
-
-// resumableLane adapts runShotResumable to batch.Lane.
-type resumableLane struct {
-	ctx   context.Context
-	sv    *Survey
-	sim   *Simulation
-	sched Schedule
-	ro    ResumeOptions
-	out   []*Result
-}
-
-func (l *resumableLane) SetWorkers(n int) { l.sim.workers = n }
-
-func (l *resumableLane) RunShot(shot int) error {
-	if l.ro.Completed[shot] {
-		return nil
-	}
-	res, err := l.sv.runShotResumable(l.ctx, l.sim, l.sched, shot, l.ro)
-	if err != nil {
-		return err
-	}
-	l.out[shot] = res
-	switch {
-	case l.ro.OnShot != nil:
-		l.ro.OnShot(shot, res)
-	case l.sv.opts.OnShot != nil:
-		l.sv.opts.OnShot(shot, res)
-	}
-	return nil
-}
-
 // RunResumable executes the survey with cancellation and checkpoint/resume
 // semantics: shots marked Completed are skipped, shots with a Checkpoint
 // restart from its boundary, and every running shot emits a checkpoint
-// each EveryTiles time tiles. A shot that resumes from a checkpoint
-// produces receiver records bitwise identical to an uninterrupted run
-// under the same schedule (asserted by TestResumeBitwiseIdentical and,
-// end-to-end over HTTP, by the serve fault-injection tests).
+// each EveryTiles time tiles. It is the one survey driver — Run and
+// RunContext are its zero-ResumeOptions case. A shot that resumes from a
+// checkpoint produces receiver records bitwise identical to an
+// uninterrupted run under the same schedule (asserted by
+// TestResumeBitwiseIdentical and, end-to-end over HTTP, by the serve
+// fault-injection tests).
 func (sv *Survey) RunResumable(ctx context.Context, sched Schedule, ro ResumeOptions) (*SurveyResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -388,9 +249,9 @@ func (sv *Survey) RunResumable(ctx context.Context, sched Schedule, ro ResumeOpt
 	}, batch.Funcs{
 		Precompute: sv.precomputeShot,
 		NewLane: func(lane int) (batch.Lane, error) {
-			return &resumableLane{ctx: ctx, sv: sv, sim: sv.fork(), sched: sched, ro: ro, out: out}, nil
+			return &surveyLane{ctx: ctx, sv: sv, sim: sv.fork(), sched: sched, ro: ro, out: out}, nil
 		},
-		CloseLane: func(l batch.Lane) { sv.release(l.(*resumableLane).sim) },
+		CloseLane: func(l batch.Lane) { sv.release(l.(*surveyLane).sim) },
 	})
 	if err != nil {
 		return nil, err

@@ -101,9 +101,9 @@ func attributionSchedule(sched Schedule) (string, tiling.Config) {
 		}
 		return "spatial", tiling.Config{}
 	case WTB:
-		return "wtb", tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY, BlockX: c.BlockX, BlockY: c.BlockY}
+		return "wtb", wtbConfig(c)
 	case WTBPipelined:
-		return "wtb-pipelined", tiling.Config{TT: c.TimeTile, TileX: c.TileX, TileY: c.TileY, BlockX: c.BlockX, BlockY: c.BlockY}
+		return "wtb-pipelined", wtbConfig(WTB(c))
 	}
 	// RunWithSnapshots results and future schedules replay as plain fused
 	// spatial — the closest traffic shape.

@@ -131,19 +131,26 @@ func (sv *Survey) Shots() int { return len(sv.shots) }
 // Simulation.MinTile) — surveys need it to build valid WTB schedules.
 func (sv *Survey) MinTile() int { return sv.template.MinTile() }
 
-// surveyLane adapts one shared-model Simulation clone to batch.Lane.
+// surveyLane adapts one shared-model Simulation clone to batch.Lane: every
+// shot of every survey run — plain, cancellable or resumable — goes through
+// its RunShot.
 type surveyLane struct {
+	ctx   context.Context
 	sv    *Survey
 	sim   *Simulation
 	sched Schedule
+	ro    ResumeOptions
 	out   []*Result
 }
 
 func (l *surveyLane) SetWorkers(n int) { l.sim.workers = n }
 
 func (l *surveyLane) RunShot(shot int) error {
+	if l.ro.Completed[shot] {
+		return nil
+	}
 	l.sim.ops.InstallSources(l.sv.bundles[shot])
-	res, err := l.sim.runQuiet(l.sched)
+	res, err := l.sim.runShot(l.ctx, l.sched, shot, l.ro, false)
 	if err != nil {
 		return err
 	}
@@ -153,37 +160,13 @@ func (l *surveyLane) RunShot(shot int) error {
 		// keep the integer metric meaningful at survey problem sizes).
 		reg.Gauge("survey_shot_gpts_milli").Set(int64(res.GPointsPerSec * 1000))
 	}
-	if l.sv.opts.OnShot != nil {
+	switch {
+	case l.ro.OnShot != nil:
+		l.ro.OnShot(shot, res)
+	case l.sv.opts.OnShot != nil:
 		l.sv.opts.OnShot(shot, res)
 	}
 	return nil
-}
-
-// runQuiet is Run without the per-run observability attribution: with K
-// concurrent lanes sharing the process-global registry, snapshot deltas
-// would mix lanes, so batch shots report only through atomic counters
-// (runs_total, survey_*) and leave Result.Phases/Counters nil.
-func (s *Simulation) runQuiet(sched Schedule) (*Result, error) {
-	s.Reset()
-	start := time.Now()
-	if err := s.execSchedule(sched); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	res := newResult(sched.schedule(), elapsed,
-		int64(s.geom.Nx)*int64(s.geom.Ny)*int64(s.geom.Nz)*int64(s.geom.Nt))
-	res.sched = sched
-	res.Kernel = s.KernelName()
-	if reg := obs.Active(); reg != nil {
-		reg.Counter(obs.SeriesName("runs_total",
-			"physics", s.opts.Physics.String(), "schedule", sched.schedule())).Add(1)
-	}
-	rec, err := s.ops.Receivers()
-	if err != nil {
-		return nil, err
-	}
-	res.Receivers = rec
-	return res, nil
 }
 
 // shotPoints builds the sparse point set for one shot.
@@ -261,46 +244,14 @@ func (sv *Survey) release(s *Simulation) {
 // / survey_pool_misses / survey_shots_done counters land on the active obs
 // registry (and thus /metrics).
 func (sv *Survey) Run(sched Schedule) (*SurveyResult, error) {
-	return sv.RunContext(context.Background(), sched)
+	return sv.RunResumable(context.Background(), sched, ResumeOptions{})
 }
 
 // RunContext is Run with external cancellation: once ctx is done no new
 // shot is dispatched, in-flight shots finish, lane wavefields return to
 // the pool, and the error satisfies errors.Is(err, ctx.Err()).
 func (sv *Survey) RunContext(ctx context.Context, sched Schedule) (*SurveyResult, error) {
-	hits0, misses0 := sv.pool.Stats()
-	out := make([]*Result, len(sv.shots))
-	bres, err := batch.RunContext(ctx, batch.Config{
-		Shots:          len(sv.shots),
-		Concurrency:    sv.opts.Concurrency,
-		MaxConcurrency: sv.opts.MaxConcurrency,
-		ProbeShots:     sv.opts.ProbeShots,
-	}, batch.Funcs{
-		Precompute: sv.precomputeShot,
-		NewLane: func(lane int) (batch.Lane, error) {
-			return &surveyLane{sv: sv, sim: sv.fork(), sched: sched, out: out}, nil
-		},
-		CloseLane: func(l batch.Lane) { sv.release(l.(*surveyLane).sim) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	hits1, misses1 := sv.pool.Stats()
-	res := &SurveyResult{
-		Shots:       out,
-		Elapsed:     bres.Elapsed,
-		ShotsPerSec: bres.ShotsPerSec,
-		Concurrency: bres.Concurrency,
-		Precompute:  bres.Precompute,
-		PoolHits:    hits1 - hits0,
-		PoolMisses:  misses1 - misses0,
-		Probes:      bres.Probes,
-	}
-	if reg := obs.Active(); reg != nil {
-		reg.Counter("survey_pool_hits").Add(res.PoolHits)
-		reg.Counter("survey_pool_misses").Add(res.PoolMisses)
-	}
-	return res, nil
+	return sv.RunResumable(ctx, sched, ResumeOptions{})
 }
 
 // RunSurvey is the one-call batch entry point: build a Survey over base

@@ -146,7 +146,7 @@ type Simulation struct {
 	tti      *wave.TTI
 	elastic  *wave.Elastic
 
-	// workers caps the pipelined task-graph runner's worker count for this
+	// workers caps the WTBPipelined drain's worker count for this
 	// simulation (0 = all of par.Workers). Survey lanes running K shots
 	// concurrently set it to Workers/K so the lanes partition the machine;
 	// results are bitwise identical for any value. The spatial and WTB
@@ -170,10 +170,11 @@ type WTB struct {
 	BlockX, BlockY int
 }
 
-// WTBPipelined is WTB executed by the task-graph runtime: space-time tiles
-// become dependency-counted tasks that drain through the worker pool with no
-// global barrier between wave-front levels. Results are bitwise identical to
-// WTB; at Workers == 1 it degrades to exactly WTB's sequential tile order.
+// WTBPipelined is WTB with each time tile's task graph drained by several
+// workers: space-time tiles whose predecessors have completed run
+// concurrently, with no barrier between wave-front levels. WTB drains the
+// same graph on one goroutine, in the paper's sequential tile order, so the
+// results are bitwise identical and on one worker the two coincide.
 type WTBPipelined WTB
 
 // Schedule is implemented by Spatial, WTB and WTBPipelined.
@@ -204,8 +205,10 @@ type Result struct {
 	// and "overhead" (schedule bookkeeping and fork/join — the residual,
 	// so the phases sum to Elapsed). Nil when observability was off.
 	Phases map[string]time.Duration
-	// Counters holds the run's counter deltas (e.g. "steps", "points",
-	// "wtb_time_tiles"). Nil when observability was off.
+	// Counters holds the run's counter deltas: "steps" (Step invocations),
+	// "points", and under WTB and WTBPipelined alike "wtb_time_tiles",
+	// "sched_tasks" and "sched_tasks_empty" (space-time tiles executed and
+	// skipped as outside the domain). Nil when observability was off.
 	Counters map[string]int64
 
 	// sched is the schedule value the run executed, kept so Report can
